@@ -1,8 +1,9 @@
 // Runtime-dispatched SIMD kernel core.
 //
 // The per-tap inner loops of the imaging/metrics hot paths (resize tap
-// application, separable convolution, the fused pair-stats walk, and the
-// running-histogram merge of the median filter) funnel through a table of
+// application, separable convolution, the fused pair-stats walk, the
+// running-histogram merge of the median filter, and the JPEG simulator's
+// 8x8 block transform) funnel through a table of
 // function pointers resolved once at startup: AVX2 on x86-64 hosts that
 // support it, NEON on aarch64, and a portable scalar fallback everywhere.
 // `DECAM_SIMD=scalar|avx2|neon` overrides the choice per process (an
@@ -84,6 +85,28 @@ struct SimdOps {
                           double* m_bb, double* m_ab, const float* a_pad,
                           const float* b_pad, const double* win, int taps,
                           int n);
+
+  /// One 8x8 block of the JPEG simulator (imaging/jpeg_sim.cpp): forward
+  /// DCT, quantisation, inverse DCT. Reads src[y * src_stride + x] and
+  /// writes dst[y * dst_stride + x] for x, y in [0, 8); `quant` holds the
+  /// 64 row-major quantiser steps. With c[k][n] = dct8_basis()[k * 8 + n]
+  /// (simd_kernels.h) and every sum Σ accumulated from 0.0 in ascending
+  /// index, product then add (never FMA):
+  ///   s[y][x] = (double)src[y][x] - 128.0
+  ///   t[y][k] = Σ_n s[y][n] * c[k][n]          forward, rows
+  ///   f[k][x] = Σ_n t[n][x] * c[k][n]          forward, columns
+  ///   g[i]    = round_half_away(f[i] / quant[i]) * quant[i]   (std::round)
+  ///   u[n][x] = Σ_k g[k * 8 + x] * c[k][n]     inverse, columns
+  ///   r[y][n] = Σ_k u[y][k] * c[k][n]          inverse, rows
+  ///   dst[y][x] = (float)std::clamp(r[y][x] + 128.0, 0.0, 255.0)
+  /// std::clamp passes NaN through, so a NaN sample poisons its block
+  /// rather than saturating. A variant may start a sum at its first
+  /// product instead of 0.0 + product: that only flips the sign of an
+  /// all-zero sum, which no output can see (simd_avx2.cpp). When a block
+  /// mixes NaN and inf samples, which NaN's sign and payload an output
+  /// carries is left open, as IEEE 754 leaves it for a sum of two NaNs.
+  void (*jpeg_block)(const float* src, int src_stride, float* dst,
+                     int dst_stride, const double* quant);
 };
 
 /// The active table. Resolved once (cpuid + DECAM_SIMD) on first use;

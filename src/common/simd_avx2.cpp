@@ -214,6 +214,109 @@ void pair_stats_taps(double* mu_a, double* mu_b, double* m_aa, double* m_bb,
   }
 }
 
+// out = a * b for 8x8 row-major matrices, vectorised across the columns of
+// b: out[j][x] = sum over m of a[j][m] * b[m][x] in ascending m. Four
+// output rows at a time keep eight independent add chains in flight
+// without spilling.
+//
+// The sums start at their first product, not at 0.0 + product as the
+// scalar loops do. That only differs when the whole sum is -0.0 (the
+// scalar one is then +0.0), and the sign of a zero never reaches a nonzero
+// value downstream: products with the finite basis, the quantiser's divide,
+// round and multiply, and further sums all keep zeros zero, and the store's
+// r + 128.0 sends both zeros to 128. Block outputs are therefore identical,
+// for a quarter fewer adds.
+void matmul8(const double* a, const double* b, double* out) {
+  for (int j0 = 0; j0 < 8; j0 += 4) {
+    __m256d acc[4][2];
+    for (int m = 0; m < 8; ++m) {
+      const __m256d b_lo = _mm256_loadu_pd(b + m * 8);
+      const __m256d b_hi = _mm256_loadu_pd(b + m * 8 + 4);
+      for (int j = 0; j < 4; ++j) {
+        const __m256d s = _mm256_broadcast_sd(a + (j0 + j) * 8 + m);
+        const __m256d p_lo = _mm256_mul_pd(s, b_lo);
+        const __m256d p_hi = _mm256_mul_pd(s, b_hi);
+        acc[j][0] = m == 0 ? p_lo : _mm256_add_pd(acc[j][0], p_lo);
+        acc[j][1] = m == 0 ? p_hi : _mm256_add_pd(acc[j][1], p_hi);
+      }
+    }
+    for (int j = 0; j < 4; ++j) {
+      _mm256_storeu_pd(out + (j0 + j) * 8, acc[j][0]);
+      _mm256_storeu_pd(out + (j0 + j) * 8 + 4, acc[j][1]);
+    }
+  }
+}
+
+// std::round: truncate, then step one away from zero when the exact
+// fraction v - trunc(v) has magnitude >= 0.5. A blend (not an add of 0)
+// keeps -0.0 results signed; inf and NaN come back from the truncation
+// unchanged because their fraction compares false.
+__m256d round_half_away(__m256d v) {
+  const __m256d sign_bit = _mm256_set1_pd(-0.0);
+  const __m256d t = _mm256_round_pd(v, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __m256d frac = _mm256_andnot_pd(sign_bit, _mm256_sub_pd(v, t));
+  const __m256d away = _mm256_add_pd(
+      t, _mm256_or_pd(_mm256_and_pd(v, sign_bit), _mm256_set1_pd(1.0)));
+  return _mm256_blendv_pd(
+      t, away, _mm256_cmp_pd(frac, _mm256_set1_pd(0.5), _CMP_GE_OQ));
+}
+
+// std::clamp(v, 0.0, 255.0) == min(max(v, 0), 255) with std::max(v, lo) =
+// (v < lo) ? lo : v: blends on ordered compares pass NaN through, which
+// _mm256_max_pd / _mm256_min_pd would not.
+__m128 clamp_to_float(__m256d v) {
+  const __m256d lo = _mm256_setzero_pd();
+  const __m256d hi = _mm256_set1_pd(255.0);
+  v = _mm256_blendv_pd(v, lo, _mm256_cmp_pd(v, lo, _CMP_LT_OQ));
+  v = _mm256_blendv_pd(v, hi, _mm256_cmp_pd(hi, v, _CMP_LT_OQ));
+  return _mm256_cvtpd_ps(v);
+}
+
+// dct8_basis() transposed: v[n * 8 + k] = c[k * 8 + n].
+struct TransposedBasis {
+  double v[64];
+  TransposedBasis() {
+    const double* c = dct8_basis();
+    for (int i = 0; i < 64; ++i) v[(i % 8) * 8 + i / 8] = c[i];
+  }
+};
+
+// The scalar sequence in matrix form: F = C * S * C^T is t = S * C^T, then
+// f = C * t; R = C^T * G * C is u = C^T * G, then r = u * C. matmul8 sums
+// in the order of the scalar loops, and each product's two factors are the
+// scalar ones (IEEE multiplication commutes exactly).
+void jpeg_block(const float* src, int src_stride, float* dst, int dst_stride,
+                const double* quant) {
+  static const TransposedBasis transposed;
+  const double* c = dct8_basis();
+  const double* ct = transposed.v;
+  const __m256d level = _mm256_set1_pd(128.0);
+  double s[64], t[64], f[64];
+  for (int y = 0; y < 8; ++y) {
+    const float* row = src + y * src_stride;
+    _mm256_storeu_pd(s + y * 8, _mm256_sub_pd(
+        _mm256_cvtps_pd(_mm_loadu_ps(row)), level));
+    _mm256_storeu_pd(s + y * 8 + 4, _mm256_sub_pd(
+        _mm256_cvtps_pd(_mm_loadu_ps(row + 4)), level));
+  }
+  matmul8(s, ct, t);
+  matmul8(c, t, f);
+  for (int i = 0; i < 64; i += 4) {
+    const __m256d q = _mm256_loadu_pd(quant + i);
+    const __m256d v = _mm256_div_pd(_mm256_loadu_pd(f + i), q);
+    _mm256_storeu_pd(f + i, _mm256_mul_pd(round_half_away(v), q));
+  }
+  matmul8(ct, f, t);
+  matmul8(t, c, s);
+  for (int y = 0; y < 8; ++y) {
+    float* row = dst + y * dst_stride;
+    _mm_storeu_ps(row, clamp_to_float(
+        _mm256_add_pd(_mm256_loadu_pd(s + y * 8), level)));
+    _mm_storeu_ps(row + 4, clamp_to_float(
+        _mm256_add_pd(_mm256_loadu_pd(s + y * 8 + 4), level)));
+  }
+}
+
 }  // namespace
 
 const SimdOps& avx2_ops() {
@@ -223,6 +326,7 @@ const SimdOps& avx2_ops() {
       weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
       daxpy_f64,       sqdiff_f64,        pair_stats_taps,
+      jpeg_block,
   };
   return ops;
 }

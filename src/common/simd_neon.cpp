@@ -213,6 +213,9 @@ const SimdOps& neon_ops() {
       weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
       daxpy_f64,       sqdiff_f64,        pair_stats_taps,
+      // No NEON variant: the scalar block keeps the contract on aarch64
+      // until a vector one can be held to it by SimdParity there.
+      jpeg_block_scalar,
   };
   return ops;
 }

@@ -6,6 +6,10 @@
 // multiply/add instructions for the same reason.
 #include "common/simd_kernels.h"
 
+#include <algorithm>
+#include <cmath>
+#include <numbers>
+
 namespace decam::simd::detail {
 namespace {
 
@@ -107,7 +111,89 @@ void pair_stats_taps(double* mu_a, double* mu_b, double* m_aa, double* m_bb,
   }
 }
 
+// Separable 8-point DCT-II basis, precomputed once.
+struct DctBasis {
+  double cosines[8][8];  // cosines[k][n] = c(k) * cos((2n+1)k pi / 16)
+  DctBasis() {
+    for (int k = 0; k < 8; ++k) {
+      const double scale = k == 0 ? std::sqrt(1.0 / 8.0) : std::sqrt(2.0 / 8.0);
+      for (int n = 0; n < 8; ++n) {
+        cosines[k][n] = scale * std::cos((2.0 * n + 1.0) * k *
+                                         std::numbers::pi / 16.0);
+      }
+    }
+  }
+};
+
+const DctBasis& basis() {
+  static const DctBasis instance;
+  return instance;
+}
+
+// block is 8x8 row-major; forward DCT in place via temp.
+void dct2d(double block[64]) {
+  const DctBasis& b = basis();
+  double temp[64];
+  for (int y = 0; y < 8; ++y) {          // rows
+    for (int k = 0; k < 8; ++k) {
+      double acc = 0.0;
+      for (int n = 0; n < 8; ++n) acc += block[y * 8 + n] * b.cosines[k][n];
+      temp[y * 8 + k] = acc;
+    }
+  }
+  for (int x = 0; x < 8; ++x) {          // columns
+    for (int k = 0; k < 8; ++k) {
+      double acc = 0.0;
+      for (int n = 0; n < 8; ++n) acc += temp[n * 8 + x] * b.cosines[k][n];
+      block[k * 8 + x] = acc;
+    }
+  }
+}
+
+void idct2d(double block[64]) {
+  const DctBasis& b = basis();
+  double temp[64];
+  for (int x = 0; x < 8; ++x) {          // columns
+    for (int n = 0; n < 8; ++n) {
+      double acc = 0.0;
+      for (int k = 0; k < 8; ++k) acc += block[k * 8 + x] * b.cosines[k][n];
+      temp[n * 8 + x] = acc;
+    }
+  }
+  for (int y = 0; y < 8; ++y) {          // rows
+    for (int n = 0; n < 8; ++n) {
+      double acc = 0.0;
+      for (int k = 0; k < 8; ++k) acc += temp[y * 8 + k] * b.cosines[k][n];
+      block[y * 8 + n] = acc;
+    }
+  }
+}
+
 }  // namespace
+
+const double* dct8_basis() { return &basis().cosines[0][0]; }
+
+void jpeg_block_scalar(const float* src, int src_stride, float* dst,
+                       int dst_stride, const double* quant) {
+  double block[64];
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 0; x < 8; ++x) {
+      block[y * 8 + x] = static_cast<double>(src[y * src_stride + x]) - 128.0;
+    }
+  }
+  dct2d(block);
+  for (int i = 0; i < 64; ++i) {
+    const double q = quant[i];
+    block[i] = std::round(block[i] / q) * q;
+  }
+  idct2d(block);
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 0; x < 8; ++x) {
+      dst[y * dst_stride + x] = static_cast<float>(
+          std::clamp(block[y * 8 + x] + 128.0, 0.0, 255.0));
+    }
+  }
+}
 
 const SimdOps& scalar_ops() {
   static const SimdOps ops = {
@@ -116,6 +202,7 @@ const SimdOps& scalar_ops() {
       weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
       daxpy_f64,       sqdiff_f64,        pair_stats_taps,
+      jpeg_block_scalar,
   };
   return ops;
 }

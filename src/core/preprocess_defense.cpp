@@ -1,6 +1,9 @@
 #include "core/preprocess_defense.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -8,6 +11,7 @@
 #include "common/error.h"
 #include "imaging/filter.h"
 #include "imaging/jpeg_sim.h"
+#include "obs/span.h"
 
 namespace decam::core {
 namespace {
@@ -51,19 +55,42 @@ void validate_step(const DefenseStep& step) {
   throw std::invalid_argument("defense: unknown step kind");
 }
 
+// Each step opens its own span, so a profiled defended scan attributes the
+// chain's cost per transform instead of to whatever span encloses it.
 Image apply_step(const Image& input, const DefenseStep& step) {
   switch (step.kind) {
-    case DefenseKind::Squeeze:
+    case DefenseKind::Squeeze: {
+      DECAM_SPAN("defense/squeeze");
       return bit_depth_squeeze(input, static_cast<int>(step.param));
-    case DefenseKind::Median:
+    }
+    case DefenseKind::Median: {
+      DECAM_SPAN("defense/median");
       return median_filter(input, static_cast<int>(step.param));
-    case DefenseKind::Gaussian:
+    }
+    case DefenseKind::Gaussian: {
+      DECAM_SPAN("defense/gauss");
       return gaussian_blur(input, step.param);
-    case DefenseKind::Jpeg:
+    }
+    case DefenseKind::Jpeg: {
+      DECAM_SPAN("defense/jpeg");
       return jpeg_roundtrip(input, static_cast<int>(step.param));
+    }
   }
   DECAM_ASSERT(false);
   return input;
+}
+
+// The squeeze of one sample: clamp into [0, 255] (NaN passes through, as
+// with std::clamp), snap to the nearest of the 2^bits levels, then round
+// the level value itself to the 8-bit integer grid so squeezed images stay
+// eligible for the Grid8 histogram median. Idempotent: adjacent integer
+// levels are >= 2 apart (bits <= 7), so the +-0.5 integer rounding never
+// moves a value into a different level's basin; for bits == 8 step == 1
+// and both roundings are exact.
+float squeeze_sample(float v, double step) {
+  const double level =
+      std::round(static_cast<double>(std::clamp(v, 0.0f, 255.0f)) / step);
+  return static_cast<float>(std::round(level * step));
 }
 
 // Integer parameters print without a decimal point; gauss sigmas print with
@@ -95,19 +122,31 @@ Image bit_depth_squeeze(const Image& input, int bits) {
   }
   const int levels = (1 << bits) - 1;  // highest level index
   const double step = 255.0 / levels;
-  Image out = input;
-  out.clamp();
-  for (int c = 0; c < out.channels(); ++c) {
-    for (float& v : out.plane(c)) {
-      // Snap to the nearest of the 2^bits levels, then round the level
-      // value itself to the 8-bit integer grid so squeezed images stay
-      // eligible for the Grid8 histogram median. Idempotent: adjacent
-      // integer levels are >= 2 apart (bits <= 7), so the +-0.5 integer
-      // rounding never moves a value into a different level's basin; for
-      // bits == 8 step == 1 and both roundings are exact.
-      const double level = std::round(static_cast<double>(v) / step);
-      v = static_cast<float>(std::round(level * step));
+  if (input.empty()) return input;
+  // Decoded pixels are integers in [0, 255]: those look their result up in
+  // a table built with the same formula. Anything else (fractions, values
+  // outside the range, NaN) takes the formula itself.
+  float lut[256];
+  for (int i = 0; i < 256; ++i) {
+    lut[i] = squeeze_sample(static_cast<float>(i), step);
+  }
+  Image out(input.width(), input.height(), input.channels());
+  const float* src = input.data();
+  float* dst = out.data();
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    const float v = src[i];
+    // The range test is false for NaN, so the cast below never sees one.
+    // Comparing bits, not values, keeps -0.0f (whose squeeze is -0.0f) off
+    // the table.
+    if (v >= 0.0f && v <= 255.0f) {
+      const int index = static_cast<int>(v);
+      if (std::bit_cast<std::uint32_t>(static_cast<float>(index)) ==
+          std::bit_cast<std::uint32_t>(v)) {
+        dst[i] = lut[index];
+        continue;
+      }
     }
+    dst[i] = squeeze_sample(v, step);
   }
   return out;
 }
@@ -165,8 +204,11 @@ DefenseChain DefenseChain::parse(const std::string& spec) {
 }
 
 Image DefenseChain::apply(const Image& input) const {
-  Image out = input;
-  for (const DefenseStep& step : steps_) out = apply_step(out, step);
+  if (steps_.empty()) return input;
+  Image out = apply_step(input, steps_.front());
+  for (std::size_t i = 1; i < steps_.size(); ++i) {
+    out = apply_step(out, steps_[i]);
+  }
   return out;
 }
 
@@ -184,7 +226,8 @@ std::string DefenseChain::name() const {
 DefendedDetector::DefendedDetector(std::shared_ptr<const Detector> inner,
                                    DefenseChain chain)
     : inner_(std::move(inner)), chain_(std::move(chain)) {
-  DECAM_ASSERT(inner_ != nullptr);
+  DECAM_REQUIRE(inner_ != nullptr,
+                "DefendedDetector needs a non-null inner detector");
 }
 
 double DefendedDetector::score(const Image& input) const {

@@ -78,7 +78,9 @@ class DefenseChain {
 
   static DefenseChain parse(const std::string& spec);
 
-  /// Applies every step in order. An empty chain returns the input copy.
+  /// Applies every step in order, each under a `defense/<step>` span
+  /// (defense/squeeze, defense/median, defense/gauss, defense/jpeg). An
+  /// empty chain returns the input copy.
   Image apply(const Image& input) const;
 
   /// Canonical spec string ("none" for the empty chain).
@@ -100,6 +102,7 @@ class DefenseChain {
 /// "squeeze4>scaling/mse".
 class DefendedDetector final : public Detector {
  public:
+  /// Throws std::invalid_argument when `inner` is null.
   DefendedDetector(std::shared_ptr<const Detector> inner, DefenseChain chain);
 
   double score(const Image& input) const override;

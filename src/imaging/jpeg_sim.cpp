@@ -1,8 +1,8 @@
 #include "imaging/jpeg_sim.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numbers>
+
+#include "common/simd.h"
 
 namespace decam {
 namespace {
@@ -17,64 +17,6 @@ constexpr int kBaseTable[64] = {
     24, 35, 55, 64, 81,  104, 113, 92,   //
     49, 64, 78, 87, 103, 121, 120, 101,  //
     72, 92, 95, 98, 112, 100, 103, 99};
-
-// Separable 8-point DCT-II basis, precomputed once.
-struct DctBasis {
-  double cosines[8][8];  // cosines[k][n] = c(k) * cos((2n+1)k pi / 16)
-  DctBasis() {
-    for (int k = 0; k < 8; ++k) {
-      const double scale = k == 0 ? std::sqrt(1.0 / 8.0) : std::sqrt(2.0 / 8.0);
-      for (int n = 0; n < 8; ++n) {
-        cosines[k][n] = scale * std::cos((2.0 * n + 1.0) * k *
-                                         std::numbers::pi / 16.0);
-      }
-    }
-  }
-};
-
-const DctBasis& basis() {
-  static const DctBasis instance;
-  return instance;
-}
-
-// block is 8x8 row-major; forward DCT in place via temp.
-void dct2d(double block[64]) {
-  const DctBasis& b = basis();
-  double temp[64];
-  for (int y = 0; y < 8; ++y) {          // rows
-    for (int k = 0; k < 8; ++k) {
-      double acc = 0.0;
-      for (int n = 0; n < 8; ++n) acc += block[y * 8 + n] * b.cosines[k][n];
-      temp[y * 8 + k] = acc;
-    }
-  }
-  for (int x = 0; x < 8; ++x) {          // columns
-    for (int k = 0; k < 8; ++k) {
-      double acc = 0.0;
-      for (int n = 0; n < 8; ++n) acc += temp[n * 8 + x] * b.cosines[k][n];
-      block[k * 8 + x] = acc;
-    }
-  }
-}
-
-void idct2d(double block[64]) {
-  const DctBasis& b = basis();
-  double temp[64];
-  for (int x = 0; x < 8; ++x) {          // columns
-    for (int n = 0; n < 8; ++n) {
-      double acc = 0.0;
-      for (int k = 0; k < 8; ++k) acc += block[k * 8 + x] * b.cosines[k][n];
-      temp[n * 8 + x] = acc;
-    }
-  }
-  for (int y = 0; y < 8; ++y) {          // rows
-    for (int n = 0; n < 8; ++n) {
-      double acc = 0.0;
-      for (int k = 0; k < 8; ++k) acc += temp[y * 8 + k] * b.cosines[k][n];
-      block[y * 8 + n] = acc;
-    }
-  }
-}
 
 }  // namespace
 
@@ -92,29 +34,37 @@ std::array<int, 64> jpeg_quant_table(int quality) {
 
 Image jpeg_roundtrip(const Image& img, int quality) {
   DECAM_REQUIRE(!img.empty(), "jpeg_roundtrip of empty image");
-  const std::array<int, 64> quant = jpeg_quant_table(quality);
-  Image out(img.width(), img.height(), img.channels());
-  double block[64];
+  const std::array<int, 64> table = jpeg_quant_table(quality);
+  double quant[64];
+  std::copy(table.begin(), table.end(), quant);
+  const auto block_op = simd::ops().jpeg_block;
+  const int w = img.width();
+  const int h = img.height();
+  Image out(w, h, img.channels());
+  float in_block[64], out_block[64];
   for (int c = 0; c < img.channels(); ++c) {
-    for (int by = 0; by < img.height(); by += 8) {
-      for (int bx = 0; bx < img.width(); bx += 8) {
-        // Load (edge blocks replicate border pixels, like a padded encode).
+    const float* src = img.plane(c).data();
+    float* dst = out.plane(c).data();
+    for (int by = 0; by < h; by += 8) {
+      for (int bx = 0; bx < w; bx += 8) {
+        const std::size_t origin = static_cast<std::size_t>(by) * w + bx;
+        if (bx + 8 <= w && by + 8 <= h) {
+          block_op(src + origin, w, dst + origin, w, quant);
+          continue;
+        }
+        // Edge blocks replicate border pixels, like a padded encode.
         for (int y = 0; y < 8; ++y) {
+          const int sy = std::min(by + y, h - 1);
           for (int x = 0; x < 8; ++x) {
-            block[y * 8 + x] =
-                static_cast<double>(img.at_clamped(bx + x, by + y, c)) - 128.0;
+            in_block[y * 8 + x] =
+                src[static_cast<std::size_t>(sy) * w + std::min(bx + x, w - 1)];
           }
         }
-        dct2d(block);
-        for (int i = 0; i < 64; ++i) {
-          const double q = quant[static_cast<std::size_t>(i)];
-          block[i] = std::round(block[i] / q) * q;
-        }
-        idct2d(block);
-        for (int y = 0; y < 8 && by + y < img.height(); ++y) {
-          for (int x = 0; x < 8 && bx + x < img.width(); ++x) {
-            out.at(bx + x, by + y, c) = static_cast<float>(
-                std::clamp(block[y * 8 + x] + 128.0, 0.0, 255.0));
+        block_op(in_block, 8, out_block, 8, quant);
+        for (int y = 0; y < 8 && by + y < h; ++y) {
+          for (int x = 0; x < 8 && bx + x < w; ++x) {
+            dst[origin + static_cast<std::size_t>(y) * w + x] =
+                out_block[y * 8 + x];
           }
         }
       }

@@ -1,23 +1,29 @@
 // Golden parity tests: the optimized kernels in src/imaging/ (van Herk
 // rank filters, running-sum box blur, scanline convolution, row-major
-// flattened-table resize) against the retained naive reference
+// flattened-table resize, the SimdOps JPEG block transform) and the
+// table-driven bit-depth squeeze against the retained naive reference
 // implementations in reference_kernels.h.
 //
 // Tolerance policy (see imaging/filter.h): rank filters select actual input
 // samples and must match bit-for-bit; gaussian_blur keeps the exact
 // per-pixel arithmetic sequence and must also match bit-for-bit; box_blur
 // and resize may re-associate double additions, so they get a max-abs-diff
-// budget of 1e-6 of full scale (inputs live in [0, 255]).
+// budget of 1e-6 of full scale (inputs live in [0, 255]). jpeg_roundtrip
+// and bit_depth_squeeze must match byte for byte on any input, infinities
+// included; NaN outputs must land in the same places (expect_same_bytes).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/preprocess_defense.h"
 #include "data/rng.h"
 #include "imaging/filter.h"
+#include "imaging/jpeg_sim.h"
 #include "imaging/kernels.h"
 #include "imaging/scale.h"
 #include "reference_kernels.h"
@@ -320,6 +326,145 @@ TEST(KernelTableCoalescing, ExtremeDownscalePreservesConstantImages) {
         EXPECT_NEAR(out.at(x, y, 0), 200.0f, 1e-3f) << to_string(algo);
       }
     }
+  }
+}
+
+// --- defense transforms: byte-for-byte against the shipped loops ----------
+
+enum class Pixels { Integral, Fractional, OutOfRange, NonFinite };
+
+const char* to_string(Pixels kind) {
+  switch (kind) {
+    case Pixels::Integral: return "integral";
+    case Pixels::Fractional: return "fractional";
+    case Pixels::OutOfRange: return "out-of-range";
+    case Pixels::NonFinite: return "non-finite";
+  }
+  return "?";
+}
+
+constexpr Pixels kPixelKinds[] = {Pixels::Integral, Pixels::Fractional,
+                                  Pixels::OutOfRange, Pixels::NonFinite};
+
+// Integral: decoded 8-bit pixels. Fractional: arbitrary floats in [0, 255).
+// OutOfRange: integral pixels with -3 and 300 (and fractional strays beyond
+// the range) mixed in. NonFinite: NaN, +-inf and -0.0 mixed into fractional
+// pixels.
+Image defense_input(int w, int h, int c, Pixels kind, std::uint64_t seed) {
+  data::Rng rng(seed);
+  Image img(w, h, c);
+  for (int ch = 0; ch < c; ++ch) {
+    for (float& v : img.plane(ch)) {
+      const double u = rng.next_range(0.0, 255.0);
+      const double pick = rng.next_range(0.0, 1.0);
+      switch (kind) {
+        case Pixels::Integral:
+          v = static_cast<float>(std::floor(u));
+          break;
+        case Pixels::Fractional:
+          v = static_cast<float>(u);
+          break;
+        case Pixels::OutOfRange:
+          v = pick < 0.1   ? -3.0f
+              : pick < 0.2 ? 300.0f
+              : pick < 0.25 ? -0.75f
+              : pick < 0.3 ? 255.5f
+                           : static_cast<float>(std::floor(u));
+          break;
+        case Pixels::NonFinite:
+          v = pick < 0.02   ? std::numeric_limits<float>::quiet_NaN()
+              : pick < 0.04 ? std::numeric_limits<float>::infinity()
+              : pick < 0.06 ? -std::numeric_limits<float>::infinity()
+              : pick < 0.08 ? -0.0f
+                            : static_cast<float>(u);
+          break;
+      }
+    }
+  }
+  return img;
+}
+
+// Byte equality for every sample, except that a NaN only has to meet a NaN:
+// when one sum adds two NaNs (a NaN pixel and an inf - inf in the same
+// block), IEEE 754 lets the result carry either operand's sign and payload,
+// and compilers commute the addends freely, so only the position of a NaN
+// is part of the contract.
+void expect_same_bytes(const Image& got, const Image& want,
+                       const std::string& what) {
+  ASSERT_TRUE(got.same_shape(want)) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const float g = got.data()[i];
+    const float w = want.data()[i];
+    if (std::isnan(w)) {
+      ASSERT_TRUE(std::isnan(g)) << what << " at flat index " << i;
+      continue;
+    }
+    ASSERT_EQ(0, std::memcmp(&g, &w, sizeof(float)))
+        << what << " at flat index " << i << ": got " << g << ", want " << w;
+  }
+}
+
+// A lone pixel, edge blocks on both axes, one exact block, a mixed
+// interior/edge grid, and the 448^2 RGB scan geometry.
+const Shape kDefenseShapes[] = {
+    {1, 1, 1}, {7, 9, 1}, {8, 8, 1}, {37, 29, 3}, {448, 448, 3}};
+
+TEST(JpegRoundtripParity, MatchesShippedBlockLoopsByteForByte) {
+  for (const Shape& shape : kDefenseShapes) {
+    for (const Pixels kind : kPixelKinds) {
+      const Image img = defense_input(shape.w, shape.h, shape.c, kind,
+                                      5000u + shape.w * 7u + shape.h);
+      for (const int quality : {1, 10, 50, 75, 90, 100}) {
+        const std::string what =
+            std::string(to_string(kind)) + " " + std::to_string(shape.w) +
+            "x" + std::to_string(shape.h) + "x" + std::to_string(shape.c) +
+            " q" + std::to_string(quality);
+        expect_same_bytes(jpeg_roundtrip(img, quality),
+                          testref::jpeg_roundtrip(img, quality), what);
+      }
+    }
+  }
+}
+
+TEST(BitDepthSqueezeParity, MatchesShippedFormulaByteForByte) {
+  for (const Shape& shape : kDefenseShapes) {
+    for (const Pixels kind : kPixelKinds) {
+      const Image img = defense_input(shape.w, shape.h, shape.c, kind,
+                                      6000u + shape.w * 7u + shape.h);
+      for (int bits = 1; bits <= 8; ++bits) {
+        const std::string what =
+            std::string(to_string(kind)) + " " + std::to_string(shape.w) +
+            "x" + std::to_string(shape.h) + "x" + std::to_string(shape.c) +
+            " bits" + std::to_string(bits);
+        expect_same_bytes(core::bit_depth_squeeze(img, bits),
+                          testref::bit_depth_squeeze(img, bits), what);
+      }
+    }
+  }
+}
+
+// Every float in [0, 255] that is an integer, every half-integer (both
+// roundings tie there), and the signed-zero / extreme values, one image.
+TEST(BitDepthSqueezeParity, EveryIntegerAndHalfStepMatches) {
+  std::vector<float> values;
+  for (int i = 0; i <= 255; ++i) {
+    values.push_back(static_cast<float>(i));
+    values.push_back(static_cast<float>(i) + 0.5f);
+    values.push_back(std::nextafter(static_cast<float>(i), 300.0f));
+    values.push_back(std::nextafter(static_cast<float>(i), -1.0f));
+  }
+  for (const float v : {-0.0f, -1e30f, 1e30f, 255.0001f,
+                        std::numeric_limits<float>::denorm_min(),
+                        std::numeric_limits<float>::quiet_NaN(),
+                        -std::numeric_limits<float>::quiet_NaN()}) {
+    values.push_back(v);
+  }
+  Image img(static_cast<int>(values.size()), 1, 1);
+  std::copy(values.begin(), values.end(), img.plane(0).begin());
+  for (int bits = 1; bits <= 8; ++bits) {
+    expect_same_bytes(core::bit_depth_squeeze(img, bits),
+                      testref::bit_depth_squeeze(img, bits),
+                      "bits" + std::to_string(bits));
   }
 }
 

@@ -3,11 +3,13 @@
 // lean on. Shape preservation, squeeze integrality + exact idempotence
 // (every bit count, including the awkward non-power-step ones), bounded
 // output range, the spec grammar round-trip, DefendedDetector naming and
-// score semantics, and bit-identical defended scores across thread counts.
+// score semantics, bit-identical defended scores across thread counts, the
+// per-step profile spans, and the null-inner caller error.
 #include "core/preprocess_defense.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -17,6 +19,8 @@
 #include "core/scaling_detector.h"
 #include "data/rng.h"
 #include "data/synth.h"
+#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
 
@@ -111,6 +115,10 @@ TEST(PreprocessDefense, SqueezeEightBitsFixesIntegralImages) {
   EXPECT_TRUE(bit_identical(img, bit_depth_squeeze(img, 8)));
 }
 
+TEST(PreprocessDefense, SqueezeOfAnEmptyImageIsEmpty) {
+  EXPECT_TRUE(bit_depth_squeeze(Image(), 4).empty());
+}
+
 TEST(PreprocessDefense, SqueezeRejectsBadBitCounts) {
   const Image img = noisy_image(4, 4, 1, 6);
   EXPECT_THROW(bit_depth_squeeze(img, 0), std::invalid_argument);
@@ -171,6 +179,46 @@ TEST(PreprocessDefense, EmptyChainDefendedDetectorMatchesInner) {
   const DefendedDetector defended(inner, DefenseChain());
   EXPECT_EQ(defended.name(), "none>" + inner->name());
   EXPECT_DOUBLE_EQ(defended.score(img), inner->score(img));
+}
+
+TEST(PreprocessDefense, NullInnerDetectorIsACallerError) {
+  EXPECT_THROW(DefendedDetector(nullptr, DefenseChain::parse("squeeze4")),
+               std::invalid_argument);
+  EXPECT_THROW(DefendedDetector(nullptr, DefenseChain()),
+               std::invalid_argument);
+}
+
+// `decamctl scan --defense=... --profile-tree` must attribute the chain's
+// cost: one defense/<step> span per step and per score, recorded before the
+// inner detector's own span opens.
+TEST(PreprocessDefense, ProfiledScoreRecordsOneSpanPerStep) {
+#ifdef DECAM_OBS_DISABLED
+  GTEST_SKIP() << "observability probes are compiled out";
+#endif
+  const Image img = noisy_image(32, 32, 3, 16);
+  ScalingDetectorConfig config;
+  config.down_width = config.down_height = 16;
+  const DefendedDetector defended(
+      std::make_shared<ScalingDetector>(config),
+      DefenseChain::parse("squeeze4+median3+gauss0.8+jpeg75"));
+
+  obs::set_tracing_enabled(false);
+  obs::set_profiling_enabled(true);
+  obs::reset_profile();
+  (void)defended.score(img);
+  (void)defended.score(img);
+  const std::vector<obs::ProfileEntry> entries = obs::profile_snapshot();
+  obs::set_profiling_enabled(false);
+  obs::reset_profile();
+
+  for (const char* step : {"defense/squeeze", "defense/median",
+                           "defense/gauss", "defense/jpeg"}) {
+    const auto it = std::find_if(
+        entries.begin(), entries.end(),
+        [&](const obs::ProfileEntry& e) { return e.path == step; });
+    ASSERT_NE(it, entries.end()) << step << " was not recorded top-level";
+    EXPECT_EQ(it->count, 2u) << step;
+  }
 }
 
 // The battery_determinism ctest pins the defended decamctl scan end to end;

@@ -6,15 +6,25 @@
 // definitions — exact for rank filters, within a documented last-ulp
 // tolerance for the blurs and resize.
 //
+// The JPEG simulator and the bit-depth squeeze are kept the same way: the
+// per-block dct2d / quantise / idct2d loops behind at_clamped loads, and the
+// copy -> clamp() -> two-round squeeze, exactly as the library first shipped
+// them. kernel_parity_test.cpp holds the SimdOps block transform and the
+// table-driven squeeze to these byte for byte.
+//
 // These are deliberately slow and obvious. Do not "optimize" them: their
 // only job is to be trivially auditable.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <numbers>
+#include <stdexcept>
 #include <vector>
 
 #include "imaging/filter.h"
+#include "imaging/jpeg_sim.h"
 #include "imaging/kernels.h"
 #include "imaging/scale.h"
 
@@ -142,6 +152,117 @@ inline Image resize(const Image& src, int out_width, int out_height,
         }
         out.at(x, y, c) = static_cast<float>(acc);
       }
+    }
+  }
+  return out;
+}
+
+namespace jpeg_detail {
+
+// Separable 8-point DCT-II basis, precomputed once.
+struct DctBasis {
+  double cosines[8][8];  // cosines[k][n] = c(k) * cos((2n+1)k pi / 16)
+  DctBasis() {
+    for (int k = 0; k < 8; ++k) {
+      const double scale = k == 0 ? std::sqrt(1.0 / 8.0) : std::sqrt(2.0 / 8.0);
+      for (int n = 0; n < 8; ++n) {
+        cosines[k][n] = scale * std::cos((2.0 * n + 1.0) * k *
+                                         std::numbers::pi / 16.0);
+      }
+    }
+  }
+};
+
+inline const DctBasis& basis() {
+  static const DctBasis instance;
+  return instance;
+}
+
+// block is 8x8 row-major; forward DCT in place via temp.
+inline void dct2d(double block[64]) {
+  const DctBasis& b = basis();
+  double temp[64];
+  for (int y = 0; y < 8; ++y) {          // rows
+    for (int k = 0; k < 8; ++k) {
+      double acc = 0.0;
+      for (int n = 0; n < 8; ++n) acc += block[y * 8 + n] * b.cosines[k][n];
+      temp[y * 8 + k] = acc;
+    }
+  }
+  for (int x = 0; x < 8; ++x) {          // columns
+    for (int k = 0; k < 8; ++k) {
+      double acc = 0.0;
+      for (int n = 0; n < 8; ++n) acc += temp[n * 8 + x] * b.cosines[k][n];
+      block[k * 8 + x] = acc;
+    }
+  }
+}
+
+inline void idct2d(double block[64]) {
+  const DctBasis& b = basis();
+  double temp[64];
+  for (int x = 0; x < 8; ++x) {          // columns
+    for (int n = 0; n < 8; ++n) {
+      double acc = 0.0;
+      for (int k = 0; k < 8; ++k) acc += block[k * 8 + x] * b.cosines[k][n];
+      temp[n * 8 + x] = acc;
+    }
+  }
+  for (int y = 0; y < 8; ++y) {          // rows
+    for (int n = 0; n < 8; ++n) {
+      double acc = 0.0;
+      for (int k = 0; k < 8; ++k) acc += temp[y * 8 + k] * b.cosines[k][n];
+      block[y * 8 + n] = acc;
+    }
+  }
+}
+
+}  // namespace jpeg_detail
+
+inline Image jpeg_roundtrip(const Image& img, int quality) {
+  const std::array<int, 64> quant = jpeg_quant_table(quality);
+  Image out(img.width(), img.height(), img.channels());
+  double block[64];
+  for (int c = 0; c < img.channels(); ++c) {
+    for (int by = 0; by < img.height(); by += 8) {
+      for (int bx = 0; bx < img.width(); bx += 8) {
+        // Load (edge blocks replicate border pixels, like a padded encode).
+        for (int y = 0; y < 8; ++y) {
+          for (int x = 0; x < 8; ++x) {
+            block[y * 8 + x] =
+                static_cast<double>(img.at_clamped(bx + x, by + y, c)) - 128.0;
+          }
+        }
+        jpeg_detail::dct2d(block);
+        for (int i = 0; i < 64; ++i) {
+          const double q = quant[static_cast<std::size_t>(i)];
+          block[i] = std::round(block[i] / q) * q;
+        }
+        jpeg_detail::idct2d(block);
+        for (int y = 0; y < 8 && by + y < img.height(); ++y) {
+          for (int x = 0; x < 8 && bx + x < img.width(); ++x) {
+            out.at(bx + x, by + y, c) = static_cast<float>(
+                std::clamp(block[y * 8 + x] + 128.0, 0.0, 255.0));
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+inline Image bit_depth_squeeze(const Image& input, int bits) {
+  if (bits < 1 || bits > 8) {
+    throw std::invalid_argument("bit_depth_squeeze: bits must be in [1, 8]");
+  }
+  const int levels = (1 << bits) - 1;  // highest level index
+  const double step = 255.0 / levels;
+  Image out = input;
+  out.clamp();
+  for (int c = 0; c < out.channels(); ++c) {
+    for (float& v : out.plane(c)) {
+      const double level = std::round(static_cast<double>(v) / step);
+      v = static_cast<float>(std::round(level * step));
     }
   }
   return out;

@@ -4,12 +4,15 @@
 // the normative scalar loops, including the vector-width tails.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/simd.h"
+#include "common/simd_kernels.h"
 #include "data/rng.h"
 #include "imaging/filter.h"
 #include "obs/metrics.h"
@@ -258,6 +261,104 @@ TEST_F(SimdParity, PairStatsTaps) {
     run(scalar_, pa);
     run(native_, pb);
     expect_bits_equal(pa, pb, "pair_stats_taps n=" + std::to_string(n));
+  }
+}
+
+// The forward half of the jpeg_block contract, written out naively: the
+// DCT coefficients f the quantiser divides.
+std::vector<double> forward_dct(const std::vector<float>& src) {
+  const double* c = simd::detail::dct8_basis();
+  std::vector<double> s(64), t(64), f(64);
+  for (int i = 0; i < 64; ++i) s[i] = static_cast<double>(src[i]) - 128.0;
+  for (int y = 0; y < 8; ++y) {
+    for (int k = 0; k < 8; ++k) {
+      double acc = 0.0;
+      for (int n = 0; n < 8; ++n) acc += s[y * 8 + n] * c[k * 8 + n];
+      t[y * 8 + k] = acc;
+    }
+  }
+  for (int x = 0; x < 8; ++x) {
+    for (int k = 0; k < 8; ++k) {
+      double acc = 0.0;
+      for (int n = 0; n < 8; ++n) acc += t[n * 8 + x] * c[k * 8 + n];
+      f[k * 8 + x] = acc;
+    }
+  }
+  return f;
+}
+
+// A quantiser step q > 0 with f / q == +-(m + 0.5) exactly, so the block's
+// rounding has to break a tie; 0 when no nearby step lands on it.
+double tie_step(double f, int m) {
+  const double half = m + 0.5;
+  double q = std::fabs(f) / half;
+  for (int tries = 0; tries < 64; ++tries) {
+    const double quotient = std::fabs(f / q);
+    if (quotient == half) return q;
+    q = std::nextafter(q, quotient > half ? 1e300 : 0.0);
+  }
+  return 0.0;
+}
+
+TEST_F(SimdParity, JpegBlock) {
+  data::Rng rng(2718);
+  const auto run = [&](const std::vector<float>& src, int src_stride,
+                       const std::vector<double>& quant,
+                       const std::string& what) {
+    // Strided destinations with a sentinel: only the 8x8 window may change.
+    const int dst_stride = 11;
+    std::vector<float> a(static_cast<std::size_t>(8 * dst_stride), -7.0f);
+    std::vector<float> b = a;
+    scalar_->jpeg_block(src.data(), src_stride, a.data(), dst_stride,
+                        quant.data());
+    native_->jpeg_block(src.data(), src_stride, b.data(), dst_stride,
+                        quant.data());
+    for (int y = 0; y < 8; ++y) {
+      for (int x = 8; x < dst_stride; ++x) {
+        ASSERT_EQ(a[static_cast<std::size_t>(y * dst_stride + x)], -7.0f)
+            << what;
+      }
+    }
+    expect_bits_equal(a, b, what);
+  };
+
+  int ties_up = 0, ties_down = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<float> src(64);
+    for (float& v : src) {
+      v = static_cast<float>(trial % 2 == 0
+                                 ? std::floor(rng.next_range(0.0, 256.0))
+                                 : rng.next_range(-40.0, 300.0));
+    }
+    std::vector<double> quant(64);
+    for (double& q : quant) q = std::floor(rng.next_range(1.0, 256.0));
+    run(src, 8, quant, "random block " + std::to_string(trial));
+
+    // The same block with every coefficient's quotient on a tie.
+    const std::vector<double> f = forward_dct(src);
+    for (int i = 0; i < 64; ++i) {
+      const double q = tie_step(f[i], i % 4);
+      if (q == 0.0) continue;
+      quant[i] = q;
+      (f[i] > 0.0 ? ties_up : ties_down) += 1;
+    }
+    run(src, 8, quant, "tie block " + std::to_string(trial));
+  }
+  EXPECT_GT(ties_up, 100) << "too few +(m + 0.5) quotients exercised";
+  EXPECT_GT(ties_down, 100) << "too few -(m + 0.5) quotients exercised";
+
+  // Strided source (the interior-block call), saturation on both sides,
+  // and non-finite samples.
+  std::vector<float> wide(static_cast<std::size_t>(8 * 13));
+  for (float& v : wide) v = static_cast<float>(rng.next_range(-500.0, 800.0));
+  const std::vector<double> coarse(64, 1.0);
+  run(wide, 13, coarse, "strided, saturating");
+  for (const float special : {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()}) {
+    std::vector<float> src(64, 100.0f);
+    src[19] = special;
+    run(src, 8, coarse, "non-finite " + std::to_string(special));
   }
 }
 
