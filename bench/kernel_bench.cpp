@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
 
     // The same score on a prebuilt context isolates the metric reductions
     // from intermediate construction (round trip, filter, spectrum).
-    const core::AnalysisContext context(big, battery.context_spec());
+    core::AnalysisContext context(big, battery.context_spec());
     bench("battery/score_fused", big_px,
           [&] { (void)battery.score(context); });
 

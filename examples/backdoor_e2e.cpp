@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
   std::vector<ml::TrainingSample> sanitized_train;
   int dropped_poison = 0, dropped_clean = 0;
   for (std::size_t i = 0; i < poisoned_train.size(); ++i) {
-    if (decamouflage.is_attack(poisoned_train[i].image)) {
+    if (decamouflage.decide(poisoned_train[i].image).attack) {
       (i >= clean_train.size() ? dropped_poison : dropped_clean) += 1;
     } else {
       sanitized_train.push_back(poisoned_train[i]);

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   std::vector<bool> benign_flags, poison_flags;
   int quarantined = 0;
   for (std::size_t i = 0; i < queue.size(); ++i) {
-    const bool flagged = decamouflage.is_attack(queue[i].image);
+    const bool flagged = decamouflage.decide(queue[i].image).attack;
     (queue[i].poisoned ? poison_flags : benign_flags).push_back(flagged);
     if (flagged) ++quarantined;
   }

@@ -6,14 +6,20 @@
 //       Hide <target> inside <source> (the image-scaling attack).
 //   decamctl scan   <image|dir>... [--width W --height H] [--algo A]
 //                   [--profile FILE] [--stats] [--json] [--threads N]
-//       Run all three detectors + majority vote. Accepts several images
-//       and/or directories (directories expand to their .ppm/.pgm/.bmp
-//       files, sorted); multiple inputs are scored through the thread pool
-//       and reported one line per file in input order. --stats adds a
-//       per-detector latency table (Table 7 ordering); --json prints a
-//       machine-readable report (scores, thresholds, verdict, latency-ms)
-//       — an object for one input, an array for several. Exit code: 1 if
-//       any file failed to load, else 3 if any file was flagged, else 0.
+//                   [--short-circuit] [--defense SPEC]
+//       Run all three detectors + majority vote: one EnsembleDetector::
+//       decide call per image, every member scoring through one deferred
+//       context and building only the stage it reads. --short-circuit
+//       stops once the majority is decided (skipped members report no
+//       score; the verdict is unchanged). Accepts several images and/or
+//       directories (directories expand to their .ppm/.pgm/.bmp files,
+//       sorted); multiple inputs are scored through the thread pool and
+//       reported one line per file in input order. --stats adds a
+//       per-detector latency table (Table 7 ordering, either mode);
+//       --json prints a machine-readable report (scores, thresholds,
+//       verdict, latency-ms) — an object for one input, an array for
+//       several. Exit code: 1 if any file failed to load, else 3 if any
+//       file was flagged, else 0.
 //   decamctl calibrate <benign images...> --out FILE
 //                   [--percentile P] [--width W --height H] [--algo A]
 //       Build a black-box calibration profile from benign samples.
@@ -70,7 +76,8 @@ namespace {
       "       several inputs are scanned in parallel, one line per file\n"
       "       in input order; exit 1 = load failure, 3 = attack found;\n"
       "       --short-circuit stops scoring once the majority is decided\n"
-      "       (skipped detectors report no score; verdict is unchanged);\n"
+      "       (skipped detectors report no score or latency; verdict and\n"
+      "       every reported score are unchanged);\n"
       "       --metrics-out writes an OpenMetrics exposition of every\n"
       "       counter/gauge/histogram (SIGUSR1 re-dumps it mid-run);\n"
       "       --profile-tree prints the hierarchical stage profile,\n"
@@ -290,44 +297,21 @@ struct ScanOutcome {
   bool flagged = false;
 };
 
+// Every member scores through one deferred context and builds only the
+// stage it reads, so each member's latency (timed inside decide into the
+// `detector/<name>` histograms) keeps the paper's Table 7 per-method
+// semantics; with --short-circuit the skipped members report no score.
 ScanOutcome scan_one(const std::string& path,
-                     const std::vector<core::EnsembleDetector::Member>& members,
-                     const core::EnsembleDetector& ensemble,
-                     bool short_circuit) {
+                     const core::EnsembleDetector& ensemble) {
   ScanOutcome outcome;
   outcome.path = path;
   try {
-    const Image image = read_image(path);
-    auto& registry = obs::MetricsRegistry::instance();
-    outcome.scores.resize(members.size());
-    outcome.latencies_ms.resize(members.size(), 0.0);
-    if (short_circuit) {
-      // Short-circuit path: members score through a shared deferred
-      // context and stop once the majority is decided; skipped members
-      // never build their intermediates. Latency is the whole decision
-      // (the per-method Table 7 split does not apply to a shared pass).
-      const char* kName = "detector/ensemble";
-      obs::ScopedTimer timer(registry.histogram(kName), kName);
-      const core::EnsembleDetector::Decision decision =
-          ensemble.decide(image);
-      outcome.total_ms = timer.stop();
-      outcome.scores = decision.scores;
-      outcome.flagged = decision.attack;
-      return outcome;
-    }
-    // Score each detector independently (no shared context) so the
-    // recorded latencies keep the paper's Table 7 per-method semantics.
-    std::vector<double> raw(members.size());
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const std::string metric_name =
-          "detector/" + members[i].detector->name();
-      obs::ScopedTimer timer(registry.histogram(metric_name), metric_name);
-      raw[i] = members[i].detector->score(image);
-      outcome.scores[i] = raw[i];
-      outcome.latencies_ms[i] = timer.stop();
-      outcome.total_ms += outcome.latencies_ms[i];
-    }
-    outcome.flagged = ensemble.vote_scores(raw);
+    const core::EnsembleDetector::Decision decision =
+        ensemble.decide(read_image(path));
+    outcome.scores = decision.scores;
+    outcome.latencies_ms = decision.latencies_ms;
+    for (const double ms : decision.latencies_ms) outcome.total_ms += ms;
+    outcome.flagged = decision.attack;
   } catch (const std::exception& error) {
     outcome.error = error.what();
   }
@@ -439,7 +423,8 @@ int cmd_scan(const Options& options) {
     }
   }
 
-  const core::EnsembleDetector ensemble{members};
+  core::EnsembleDetector ensemble{members};
+  ensemble.set_short_circuit(options.short_circuit);
 
   if (options.profile_tree || !options.stacks_out.empty()) {
     obs::set_profiling_enabled(true);
@@ -455,8 +440,7 @@ int cmd_scan(const Options& options) {
   {
     DECAM_SPAN("scan");
     outcomes = runtime::parallel_map(files, [&](const std::string& path) {
-      ScanOutcome outcome =
-          scan_one(path, members, ensemble, options.short_circuit);
+      ScanOutcome outcome = scan_one(path, ensemble);
       // Drain a pending SIGUSR1 between images so long scans can be dumped
       // mid-run (the exchange inside makes concurrent lanes race-free).
       obs::service_openmetrics_signal_dump();

@@ -72,22 +72,27 @@ int main(int argc, char** argv) {
     scaling_scores.push_back(scaling->score(benign));
     filtering_scores.push_back(filtering->score(benign));
   }
-  const core::EnsembleDetector decamouflage({
+  core::EnsembleDetector decamouflage({
       {scaling, core::calibrate_black_box(scaling_scores, 10.0,
                                           core::Polarity::HighIsAttack)},
       {filtering, core::calibrate_black_box(filtering_scores, 10.0,
                                             core::Polarity::LowIsAttack)},
       {steganalysis, core::Calibration{2.0, core::Polarity::HighIsAttack, 0}},
   });
+  // Every member scores, so every vote can be printed.
+  decamouflage.set_short_circuit(false);
 
   for (const auto& [label, image] :
        {std::pair<const char*, const Image&>{"benign", scene},
         std::pair<const char*, const Image&>{"attack", attack.image}}) {
-    const auto votes = decamouflage.votes(image);
+    const core::EnsembleDetector::Decision decision =
+        decamouflage.decide(image);
+    const auto vote = [&](std::size_t i) {
+      return *decision.votes[i] ? "ATTACK" : "ok";
+    };
     std::printf("%s image: scaling=%s filtering=%s steganalysis=%s -> %s\n",
-                label, votes[0] ? "ATTACK" : "ok", votes[1] ? "ATTACK" : "ok",
-                votes[2] ? "ATTACK" : "ok",
-                decamouflage.is_attack(image) ? "REJECTED" : "accepted");
+                label, vote(0), vote(1), vote(2),
+                decision.attack ? "REJECTED" : "accepted");
   }
 
   // --- 4. Artefacts for human eyes.

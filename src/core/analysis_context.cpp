@@ -97,16 +97,7 @@ void AnalysisContext::build_spectrum() {
   static auto& spectrum_hist =
       obs::MetricsRegistry::instance().histogram("context/spectrum");
   obs::ScopedTimer timer(spectrum_hist, "context/spectrum");
-  // RoundTrip sourcing is opt-in and only honoured when the reconstruction
-  // actually exists at the input geometry; the fallback keeps the paper's
-  // input-spectrum semantics rather than forcing a build order.
-  const Image* source = input_;
-  if (spec_.spectrum_source == SpectrumSource::RoundTrip &&
-      round_trip_.has_value() && round_trip_->same_shape(*input_)) {
-    source = &*round_trip_;
-    spectrum_from_round_trip_ = true;
-  }
-  spectrum_ = centered_log_spectrum(*source, spectrum_workspace());
+  spectrum_ = centered_log_spectrum(*input_, spectrum_workspace());
   add_bytes(image_bytes(spectrum_));
 }
 
@@ -127,7 +118,6 @@ AnalysisContext::AnalysisContext(AnalysisContext&& other) noexcept
       round_trip_(std::move(other.round_trip_)),
       filtered_(std::move(other.filtered_)),
       spectrum_(std::move(other.spectrum_)),
-      spectrum_from_round_trip_(other.spectrum_from_round_trip_),
       bytes_(other.bytes_) {
   // The moved-from context must not release our share in its destructor.
   other.bytes_ = 0;
@@ -155,28 +145,6 @@ const Image& AnalysisContext::filtered() const {
 const Image& AnalysisContext::spectrum() const {
   DECAM_REQUIRE(has_spectrum(), "context built without a spectrum");
   return *spectrum_;
-}
-
-bool AnalysisContext::round_trip_matches(int down_width, int down_height,
-                                         ScaleAlgo down, ScaleAlgo up) const {
-  return has_round_trip() && spec_.down_width == down_width &&
-         spec_.down_height == down_height && spec_.down_algo == down &&
-         spec_.up_algo == up;
-}
-
-bool AnalysisContext::downscale_matches(int down_width, int down_height,
-                                        ScaleAlgo algo) const {
-  return has_downscaled() && spec_.down_width == down_width &&
-         spec_.down_height == down_height && spec_.down_algo == algo;
-}
-
-bool AnalysisContext::filter_matches(int window, RankOp op) const {
-  return has_filtered() && spec_.filter_window == window &&
-         spec_.filter_op == op;
-}
-
-bool AnalysisContext::spectrum_matches_input() const {
-  return has_spectrum() && !spectrum_from_round_trip_;
 }
 
 }  // namespace decam::core

@@ -2,20 +2,17 @@
 // method reads, computed through an explicit staged analysis plan and
 // shared (DESIGN.md §8, §11).
 //
-// Battery::score used to rebuild the round trip / filtered image / spectrum
-// inside each stage, and EnsembleDetector re-ran the full image pipeline per
-// member. The context makes that sharing explicit: a caller builds one
-// context per input image (on its own thread — no hidden global caches),
-// then any number of detectors and metrics score against it.
+// A caller builds one context per input image (on its own thread — no
+// hidden global caches), then any number of detectors score against it.
 //
 // Staging: the spec expands to an ordered AnalysisPlan of stages (round
-// trip, rank filter, spectrum). An Eager context (the default, and the
-// previous behaviour) materialises every planned stage in the constructor.
-// A Deferred context records the plan and materialises a stage the first
-// time ensure(stage) is called — the short-circuit ensemble vote uses this
-// so a detector skipped by an already-decided majority never pays for its
-// intermediates. ensure() is non-const and must be called before the const
-// accessors; accessors never build behind the caller's back.
+// trip, rank filter, spectrum). An Eager context (the default) materialises
+// every planned stage in the constructor. A Deferred context records the
+// plan and materialises a stage the first time ensure(stage) is called —
+// Detector::score builds its contexts this way, so a detector (or a member
+// the short-circuit vote skips) only ever pays for the stage it reads.
+// ensure() is non-const and must be called before the const accessors;
+// accessors never build behind the caller's back.
 //
 // Ownership: the context borrows `input` (non-owning pointer) and owns every
 // derived image. Keep the input alive for the context's lifetime; contexts
@@ -23,9 +20,9 @@
 // implicitly (Image is value-semantic, so copying would duplicate planes).
 //
 // Config matching: intermediates are only valid for the spec they were built
-// with. Detectors check *_matches() and fall back to recomputing from
-// input() when a shared context was built for a different geometry/scaler/
-// filter — correctness never depends on the spec lining up.
+// with. Detector::score(AnalysisContext&) reads a context only when priming
+// its spec with the detector changes nothing, and otherwise scores through a
+// private context — correctness never depends on the spec lining up.
 #pragma once
 
 #include <cstdint>
@@ -39,16 +36,9 @@
 
 namespace decam::core {
 
-/// Where the spectrum stage takes its input. The paper's steganalysis
-/// detector transforms the input image; RoundTrip substitutes the
-/// reconstruction (same geometry, already resident from the scaling stage)
-/// for callers that trade exact paper scores for one less full-image read —
-/// never the default, and only honoured when the round trip exists at the
-/// input geometry ("where shapes allow").
-enum class SpectrumSource { Input, RoundTrip };
-
 /// What to precompute. Defaults request nothing; detectors extend a spec via
-/// Detector::prime() and the Battery derives one from its ExperimentConfig.
+/// Detector::prime(), and an ensemble or Battery primes one spec with every
+/// detector it holds.
 struct AnalysisContextSpec {
   int down_width = 0;   // > 0 enables the downscale + round trip
   int down_height = 0;
@@ -57,7 +47,8 @@ struct AnalysisContextSpec {
   int filter_window = 0;  // > 0 enables the rank-filtered image
   RankOp filter_op = RankOp::Min;
   bool spectrum = false;  // centered log-magnitude spectrum (steganalysis)
-  SpectrumSource spectrum_source = SpectrumSource::Input;
+
+  bool operator==(const AnalysisContextSpec&) const = default;
 };
 
 /// One stage of the analysis plan.
@@ -114,22 +105,8 @@ class AnalysisContext {
   const Image& round_trip() const;
   /// Rank-filtered input (filter_window, filter_op).
   const Image& filtered() const;
-  /// Centered log-magnitude spectrum (of the input, unless the spec opted
-  /// into SpectrumSource::RoundTrip).
+  /// Centered log-magnitude spectrum of the input.
   const Image& spectrum() const;
-
-  /// True when round_trip() exists and was built with exactly this
-  /// geometry + scaler pair.
-  bool round_trip_matches(int down_width, int down_height, ScaleAlgo down,
-                          ScaleAlgo up) const;
-  /// True when downscaled() exists for exactly this geometry + scaler.
-  bool downscale_matches(int down_width, int down_height,
-                         ScaleAlgo algo) const;
-  /// True when filtered() exists for exactly this window + op.
-  bool filter_matches(int window, RankOp op) const;
-  /// True when spectrum() exists and transforms the input image itself
-  /// (the paper's semantics — false for a RoundTrip-sourced spectrum).
-  bool spectrum_matches_input() const;
 
   /// Per-thread spectrum scratch (complex frequency plane + shifted
   /// log-magnitude buffer) shared by every context built on this thread.
@@ -151,7 +128,6 @@ class AnalysisContext {
   std::optional<Image> round_trip_;
   std::optional<Image> filtered_;
   std::optional<Image> spectrum_;
-  bool spectrum_from_round_trip_ = false;
   std::uint64_t bytes_ = 0;  // this context's share of the live-bytes gauge
 };
 

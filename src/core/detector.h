@@ -6,6 +6,10 @@
 // white-box threshold search (needs raw scores of both classes) and the
 // black-box percentile calibration (needs benign scores only), and lets the
 // ensemble combine heterogeneous methods.
+//
+// One scoring engine: a detector implements a single reduction over an
+// AnalysisContext — ensure the one stage it reads, reduce it against the
+// input — and both score() entry points run through it (DESIGN.md §8).
 #pragma once
 
 #include <memory>
@@ -26,34 +30,30 @@ class Detector {
  public:
   virtual ~Detector() = default;
 
-  /// Scalar detection score for one image. Higher-is-attack vs
-  /// lower-is-attack depends on the method+metric; Calibration carries the
-  /// polarity.
-  virtual double score(const Image& input) const = 0;
+  /// Scalar detection score for one image: a Deferred context primed by
+  /// this detector, reduced. Higher-is-attack vs lower-is-attack depends on
+  /// the method+metric; Calibration carries the polarity.
+  double score(const Image& input) const;
 
-  /// Scores through a prebuilt AnalysisContext. Detectors override this to
-  /// reuse matching intermediates; the default recomputes from the input,
-  /// so a context built for a different configuration is never wrong, only
-  /// slower.
-  virtual double score(const AnalysisContext& context) const {
-    return score(context.input());
-  }
+  /// Scores through a shared context, materialising only the stage this
+  /// detector reads. The context is read only when it serves this detector
+  /// — priming its spec changes nothing; otherwise the score comes from a
+  /// private Deferred context over the same input, so a context built for
+  /// another geometry/scaler/filter is never wrong, only slower.
+  double score(AnalysisContext& context) const;
 
-  /// Staged scoring: materialises the plan stages this detector consumes
-  /// (AnalysisContext::ensure) before scoring, so a Deferred context only
-  /// ever pays for the detectors that actually run — the short-circuit
-  /// ensemble vote's fast path. The default builds nothing and scores
-  /// through the const overload.
-  virtual double score(AnalysisContext& context) const {
-    return score(static_cast<const AnalysisContext&>(context));
-  }
-
-  /// Extends `spec` with the intermediates this detector can reuse, so one
+  /// Extends `spec` with the intermediates this detector reads, so one
   /// context serves a whole ensemble (EnsembleDetector::context_spec()).
+  /// Must only set the fields the reduction reads.
   virtual void prime(AnalysisContextSpec& spec) const { (void)spec; }
 
   /// Human-readable method name ("scaling/mse", ...).
   virtual std::string name() const = 0;
+
+ private:
+  /// The detector's reduction. `context` always serves this detector; the
+  /// reduction ensure()s the stage it reads before using it.
+  virtual double reduce(AnalysisContext& context) const = 0;
 };
 
 }  // namespace decam::core

@@ -36,34 +36,25 @@ AnalysisContextSpec EnsembleDetector::context_spec() const {
   return spec;
 }
 
-std::vector<bool> EnsembleDetector::votes(const Image& input) const {
-  const AnalysisContext context(input, context_spec());
-  return votes(context);
+EnsembleDetector::Decision EnsembleDetector::decide(const Image& input) const {
+  AnalysisContext context(input, context_spec(),
+                          AnalysisContext::Build::Deferred);
+  return decide(context);
 }
 
-std::vector<bool> EnsembleDetector::votes(const AnalysisContext& context) const {
-  DECAM_SPAN("ensemble/votes");
-  std::vector<bool> result;
-  result.reserve(members_.size());
-  for (const Member& member : members_) {
-    result.push_back(
-        core::is_attack(member.detector->score(context), member.calibration));
-  }
-  return result;
-}
-
-// Shared tally: evaluates members in order via `score_member(i)` and stops as
-// soon as the outcome is decided (when short-circuiting is on). With m
-// members, `attack > m/2` can no longer change once reached, and can no
-// longer be reached once `attack + remaining <= m/2`; in either state the
-// remaining members are skipped and accounted through battery/skip_*.
-template <typename ScoreMember>
-EnsembleDetector::Decision EnsembleDetector::decide_impl(
-    ScoreMember&& score_member) const {
+// Members score in order and, when short-circuiting, the tally stops as
+// soon as the outcome is decided. With m members, `attack > m/2` can no
+// longer change once reached, and can no longer be reached once
+// `attack + remaining <= m/2`; in either state the remaining members are
+// skipped and accounted through battery/skip_*.
+EnsembleDetector::Decision EnsembleDetector::decide(
+    AnalysisContext& context) const {
+  DECAM_SPAN("ensemble/decide");
   Decision decision;
   const std::size_t m = members_.size();
   decision.scores.resize(m);
   decision.votes.resize(m);
+  decision.latencies_ms.resize(m, 0.0);
 
   std::size_t attack_votes = 0;
   std::size_t i = 0;
@@ -74,8 +65,11 @@ EnsembleDetector::Decision EnsembleDetector::decide_impl(
       const bool decided_benign = 2 * (attack_votes + remaining) <= m;
       if (decided_attack || decided_benign) break;
     }
-    const double score = score_member(i);
-    const bool vote = core::is_attack(score, members_[i].calibration);
+    const Member& member = members_[i];
+    obs::ScopedTimer timer("detector/" + member.detector->name());
+    const double score = member.detector->score(context);
+    decision.latencies_ms[i] = timer.stop();
+    const bool vote = core::is_attack(score, member.calibration);
     decision.scores[i] = score;
     decision.votes[i] = vote;
     attack_votes += vote ? 1 : 0;
@@ -88,35 +82,6 @@ EnsembleDetector::Decision EnsembleDetector::decide_impl(
   }
   decision.attack = 2 * attack_votes > m;
   return decision;
-}
-
-EnsembleDetector::Decision EnsembleDetector::decide(const Image& input) const {
-  // Deferred build: a member skipped by the short circuit never triggers the
-  // construction of its intermediate (round trip / filter / spectrum).
-  AnalysisContext context(input, context_spec(), AnalysisContext::Build::Deferred);
-  return decide(context);
-}
-
-EnsembleDetector::Decision EnsembleDetector::decide(
-    AnalysisContext& context) const {
-  DECAM_SPAN("ensemble/decide");
-  return decide_impl(
-      [&](std::size_t i) { return members_[i].detector->score(context); });
-}
-
-bool EnsembleDetector::is_attack(const Image& input) const {
-  const AnalysisContext context(input, context_spec());
-  return is_attack(context);
-}
-
-bool EnsembleDetector::is_attack(const AnalysisContext& context) const {
-  DECAM_SPAN("ensemble/is_attack");
-  // The context is already built, so scoring order cannot save intermediate
-  // construction — but the short circuit still skips whole detector passes.
-  return decide_impl([&](std::size_t i) {
-           return members_[i].detector->score(context);
-         })
-      .attack;
 }
 
 bool EnsembleDetector::vote_scores(std::span<const double> member_scores) const {

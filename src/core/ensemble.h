@@ -31,11 +31,14 @@ class EnsembleDetector {
   };
 
   /// One member's outcome plus the overall verdict. `scores[i]` /
-  /// `votes[i]` are nullopt when member i was skipped by the short circuit.
+  /// `votes[i]` are nullopt when member i was skipped by the short circuit;
+  /// `latencies_ms[i]` is member i's scoring time (its stage build plus its
+  /// reduction), 0 when skipped.
   struct Decision {
     bool attack = false;
     std::vector<std::optional<double>> scores;
     std::vector<std::optional<bool>> votes;
+    std::vector<double> latencies_ms;
     std::size_t evaluated = 0;  // members actually scored
   };
 
@@ -43,20 +46,14 @@ class EnsembleDetector {
   /// benign — the conservative choice for FRR).
   explicit EnsembleDetector(std::vector<Member> members);
 
-  /// True when a strict majority of members flags the image.
-  bool is_attack(const Image& input) const;
-  bool is_attack(const AnalysisContext& context) const;
-
-  /// Full evaluation with per-member outcomes. From an Image the context is
-  /// built Deferred, so skipped members never build their intermediates;
-  /// the staged overload reuses whatever `context` already holds.
+  /// Scores members in order through one context and tallies their votes;
+  /// `attack` is true when a strict majority flags the image. From an
+  /// Image the context is built Deferred from context_spec(), so each
+  /// member builds only the stage it reads and a skipped member builds
+  /// nothing; the staged overload reuses whatever `context` already holds.
+  /// Each scored member is timed into the `detector/<name>` histogram.
   Decision decide(const Image& input) const;
   Decision decide(AnalysisContext& context) const;
-
-  /// Individual member votes (for diagnostics and the examples). Always
-  /// evaluates every member, regardless of the short-circuit setting.
-  std::vector<bool> votes(const Image& input) const;
-  std::vector<bool> votes(const AnalysisContext& context) const;
 
   /// The union of intermediates the members can reuse: each member primes
   /// the spec in turn, so one AnalysisContext built from the result serves
@@ -75,9 +72,6 @@ class EnsembleDetector {
   const std::vector<Member>& members() const { return members_; }
 
  private:
-  template <typename ScoreMember>
-  Decision decide_impl(ScoreMember&& score_member) const;
-
   std::vector<Member> members_;
   bool short_circuit_ = true;
 };

@@ -17,27 +17,13 @@ Image FilteringDetector::filtered(const Image& input) const {
   return rank_filter(input, config_.window, config_.op);
 }
 
-double FilteringDetector::score(const Image& input) const {
+double FilteringDetector::reduce(AnalysisContext& context) const {
   DECAM_SPAN(config_.metric == Metric::MSE ? "detector/filtering/mse"
                                            : "detector/filtering/ssim");
-  const Image f = filtered(input);
-  return config_.metric == Metric::MSE ? mse(input, f) : ssim(input, f);
-}
-
-double FilteringDetector::score(const AnalysisContext& context) const {
-  if (!context.filter_matches(config_.window, config_.op)) {
-    return score(context.input());
-  }
-  DECAM_SPAN(config_.metric == Metric::MSE ? "detector/filtering/mse"
-                                           : "detector/filtering/ssim");
+  context.ensure(AnalysisStage::Filter);
   const Image& input = context.input();
   return config_.metric == Metric::MSE ? mse(input, context.filtered())
                                        : ssim(input, context.filtered());
-}
-
-double FilteringDetector::score(AnalysisContext& context) const {
-  context.ensure(AnalysisStage::Filter);
-  return score(static_cast<const AnalysisContext&>(context));
 }
 
 void FilteringDetector::prime(AnalysisContextSpec& spec) const {

@@ -21,11 +21,6 @@ class FilteringDetector final : public Detector {
  public:
   explicit FilteringDetector(FilteringDetectorConfig config);
 
-  double score(const Image& input) const override;
-  /// Reuses the context's filtered image when window+op match.
-  double score(const AnalysisContext& context) const override;
-  /// Staged scoring: materialises the filter stage first.
-  double score(AnalysisContext& context) const override;
   void prime(AnalysisContextSpec& spec) const override;
   std::string name() const override;
 
@@ -35,6 +30,9 @@ class FilteringDetector final : public Detector {
   const FilteringDetectorConfig& config() const { return config_; }
 
  private:
+  /// Reduces (input, filtered input) with the metric.
+  double reduce(AnalysisContext& context) const override;
+
   FilteringDetectorConfig config_;
 };
 

@@ -11,32 +11,19 @@ HistogramDetector::HistogramDetector(HistogramDetectorConfig config)
   DECAM_REQUIRE(config.bins > 0 && config.bins <= 256, "bad bin count");
 }
 
-double HistogramDetector::score(const Image& input) const {
-  const Image down =
-      resize(input, config_.down_width, config_.down_height, config_.algo);
-  const auto h_in = color_histogram(input, config_.bins);
-  const auto h_down = color_histogram(down, config_.bins);
-  return histogram_intersection(h_in, h_down);
-}
-
-double HistogramDetector::score(const AnalysisContext& context) const {
-  if (!context.downscale_matches(config_.down_width, config_.down_height,
-                                 config_.algo)) {
-    return score(context.input());
-  }
-  const auto h_in = color_histogram(context.input(), config_.bins);
-  const auto h_down = color_histogram(context.downscaled(), config_.bins);
-  return histogram_intersection(h_in, h_down);
+double HistogramDetector::reduce(AnalysisContext& context) const {
+  context.ensure(AnalysisStage::RoundTrip);
+  return histogram_intersection(color_histogram(context.input(), config_.bins),
+                                color_histogram(context.downscaled(),
+                                                config_.bins));
 }
 
 void HistogramDetector::prime(AnalysisContextSpec& spec) const {
-  // Only claim the downscale slot when nobody with an up-algo has; the
-  // scaling detector's round trip produces the same downscaled image.
-  if (spec.down_width == 0) {
-    spec.down_width = config_.down_width;
-    spec.down_height = config_.down_height;
-    spec.down_algo = config_.algo;
-  }
+  // The downscale only: the up scaler is the scaling detector's, and the
+  // histogram never reads the reconstruction.
+  spec.down_width = config_.down_width;
+  spec.down_height = config_.down_height;
+  spec.down_algo = config_.algo;
 }
 
 std::string HistogramDetector::name() const { return "histogram/intersection"; }

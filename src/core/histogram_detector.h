@@ -21,14 +21,14 @@ class HistogramDetector final : public Detector {
  public:
   explicit HistogramDetector(HistogramDetectorConfig config);
 
-  /// Histogram-intersection similarity between input and downscaled input.
-  double score(const Image& input) const override;
-  /// Reuses the context's downscaled image when geometry+algo match.
-  double score(const AnalysisContext& context) const override;
   void prime(AnalysisContextSpec& spec) const override;
   std::string name() const override;
 
  private:
+  /// Histogram-intersection similarity between the input and the context's
+  /// downscaled input (the round-trip stage's first half).
+  double reduce(AnalysisContext& context) const override;
+
   HistogramDetectorConfig config_;
 };
 

@@ -7,11 +7,8 @@
 #include <sstream>
 
 #include "attack/scale_attack.h"
-#include "core/steganalysis_detector.h"
 #include "data/synth.h"
-#include "imaging/filter.h"
-#include "metrics/fused.h"
-#include "metrics/histogram.h"
+#include "metrics/mse.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -85,90 +82,55 @@ std::vector<double> ExperimentData::column(const std::vector<ScoreRow>& rows,
   return values;
 }
 
+namespace {
+
+ScalingDetectorConfig battery_scaling(const ExperimentConfig& config,
+                                      Metric metric) {
+  return {config.target_width, config.target_height, config.white_box_algo,
+          config.white_box_algo, metric};
+}
+
+FilteringDetectorConfig battery_filtering(Metric metric) {
+  return {2, RankOp::Min, metric};  // the paper's 2x2 minimum filter
+}
+
+}  // namespace
+
 Battery::Battery(const ExperimentConfig& config)
-    : target_width(config.target_width),
-      target_height(config.target_height),
-      pipeline_algo(config.white_box_algo) {}
+    : scaling_mse_(battery_scaling(config, Metric::MSE)),
+      scaling_ssim_(battery_scaling(config, Metric::SSIM)),
+      filtering_mse_(battery_filtering(Metric::MSE)),
+      filtering_ssim_(battery_filtering(Metric::SSIM)),
+      histogram_({config.target_width, config.target_height,
+                  config.white_box_algo, 32}) {}
 
 AnalysisContextSpec Battery::context_spec() const {
-  AnalysisContextSpec spec;
-  spec.down_width = target_width;
-  spec.down_height = target_height;
-  spec.down_algo = pipeline_algo;
-  spec.up_algo = pipeline_algo;
-  spec.filter_window = 2;  // paper's 2x2 minimum filter
-  spec.filter_op = RankOp::Min;
-  spec.spectrum = true;
+  AnalysisContextSpec spec;  // the SSIM twins read the same stages
+  scaling_mse_.prime(spec);
+  filtering_mse_.prime(spec);
+  steganalysis_.prime(spec);
+  histogram_.prime(spec);
   return spec;
 }
 
 ScoreRow Battery::score(const Image& input) const {
-  const AnalysisContext context(input, context_spec());
+  AnalysisContext context(input, context_spec(),
+                          AnalysisContext::Build::Deferred);
   return score(context);
 }
 
-ScoreRow Battery::score(const AnalysisContext& context) const {
-  // Stage histograms are resolved once; recording afterwards is lock-free.
-  // They time the metric reductions only — intermediate construction is
-  // timed by the context/* histograms at build time.
-  static auto& registry = obs::MetricsRegistry::instance();
-  static auto& scaling_hist = registry.histogram("battery/scaling");
-  static auto& filtering_hist = registry.histogram("battery/filtering");
-  static auto& steganalysis_hist = registry.histogram("battery/steganalysis");
-  static auto& histogram_hist = registry.histogram("battery/histogram");
-  static auto& images_scored = registry.counter("battery/images_scored");
-
-  const Image& input = context.input();
+ScoreRow Battery::score(AnalysisContext& context) const {
+  static auto& images_scored =
+      obs::MetricsRegistry::instance().counter("battery/images_scored");
   ScoreRow row;
-  {
-    // Scaling method: one round trip feeds MSE, SSIM and the PSNR appendix,
-    // all from a single fused traversal of the (input, round-trip) pair.
-    obs::ScopedTimer timer(scaling_hist, "battery/scaling");
-    std::optional<Image> local;
-    const Image& round =
-        context.round_trip_matches(target_width, target_height, pipeline_algo,
-                                   pipeline_algo)
-            ? context.round_trip()
-            : local.emplace(scale_round_trip(input, target_width,
-                                             target_height, pipeline_algo,
-                                             pipeline_algo));
-    const PairStats stats = pair_stats(input, round);
-    row.scaling_mse = stats.mse;
-    row.scaling_ssim = stats.ssim;
-    row.scaling_psnr = stats.psnr;
-  }
-  {
-    // Filtering method: 2x2 minimum filter, per the paper.
-    obs::ScopedTimer timer(filtering_hist, "battery/filtering");
-    std::optional<Image> local;
-    const Image& filtered = context.filter_matches(2, RankOp::Min)
-                                ? context.filtered()
-                                : local.emplace(min_filter(input, 2));
-    const PairStats stats = pair_stats(input, filtered);
-    row.filtering_mse = stats.mse;
-    row.filtering_ssim = stats.ssim;
-    row.filtering_psnr = stats.psnr;
-  }
-  {
-    // Steganalysis method (consumes the context's spectrum when present).
-    obs::ScopedTimer timer(steganalysis_hist, "battery/steganalysis");
-    const SteganalysisDetector steg{SteganalysisDetectorConfig{}};
-    row.csp = context.has_spectrum()
-                  ? static_cast<double>(steg.count_csp_in(context.spectrum()))
-                  : steg.score(input);
-  }
-  {
-    // Histogram baseline (shares the downscale geometry).
-    obs::ScopedTimer timer(histogram_hist, "battery/histogram");
-    std::optional<Image> local;
-    const Image& down =
-        context.downscale_matches(target_width, target_height, pipeline_algo)
-            ? context.downscaled()
-            : local.emplace(
-                  resize(input, target_width, target_height, pipeline_algo));
-    row.histogram = histogram_intersection(color_histogram(input, 32),
-                                           color_histogram(down, 32));
-  }
+  row.scaling_mse = scaling_mse_.score(context);
+  row.scaling_ssim = scaling_ssim_.score(context);
+  row.scaling_psnr = psnr_from_mse(row.scaling_mse);
+  row.filtering_mse = filtering_mse_.score(context);
+  row.filtering_ssim = filtering_ssim_.score(context);
+  row.filtering_psnr = psnr_from_mse(row.filtering_mse);
+  row.csp = steganalysis_.score(context);
+  row.histogram = histogram_.score(context);
   images_scored.add();
   return row;
 }

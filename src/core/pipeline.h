@@ -8,10 +8,11 @@
 //            (known) scaler and with a mixed black-box scaler pool — and
 //            score everything.
 //
-// Scoring runs the full battery once per image, sharing the expensive
-// intermediates (round trip, filtered image, spectrum) across metrics, and
-// the whole result is cached on disk as TSV keyed by a config hash: the
-// first bench to run pays the generation cost, the rest reuse it.
+// Scoring runs the full battery once per image — the production detectors
+// on one shared context, so the round trip, filtered image and spectrum are
+// built once across metrics — and the whole result is cached on disk as TSV
+// keyed by a config hash: the first bench to run pays the generation cost,
+// the rest reuse it.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,10 @@
 #include <string>
 #include <vector>
 
-#include "core/detector.h"
+#include "core/filtering_detector.h"
+#include "core/histogram_detector.h"
+#include "core/scaling_detector.h"
+#include "core/steganalysis_detector.h"
 #include "imaging/scale.h"
 
 namespace decam::core {
@@ -40,8 +44,8 @@ struct ExperimentConfig {
   std::string cache_key() const;
 };
 
-/// Full score battery for one image. Sharing the round trip / filtered
-/// image / spectrum across metrics is what keeps the pipeline fast.
+/// Full score battery for one image: one column per Battery detector, plus
+/// each PSNR column derived from its MSE column.
 struct ScoreRow {
   double scaling_mse = 0.0;
   double scaling_ssim = 0.0;
@@ -73,25 +77,32 @@ struct ExperimentData {
                                     double ScoreRow::* member);
 };
 
-/// Detector battery configuration derived from an ExperimentConfig.
-struct Battery {
+/// The paper's detector battery at an ExperimentConfig's CNN geometry and
+/// pipeline scaler: a fixed list of production detectors (scaling and 2x2
+/// minimum filtering, each with MSE and SSIM; steganalysis CSP; the
+/// histogram baseline) whose scores ScoreRow projects.
+class Battery {
+ public:
   explicit Battery(const ExperimentConfig& config);
 
-  /// Builds an AnalysisContext from context_spec() and scores it.
+  /// Scores a Deferred context built from context_spec().
   ScoreRow score(const Image& input) const;
 
-  /// Scores a prebuilt context; every stage reuses the context's
-  /// intermediates when they match this battery's configuration and
-  /// recomputes otherwise.
-  ScoreRow score(const AnalysisContext& context) const;
+  /// Scores every detector through `context` (Detector::score: a context
+  /// that does not serve a detector is recomputed, never misread).
+  ScoreRow score(AnalysisContext& context) const;
 
-  /// The intermediates the battery consumes: round trip at the CNN
-  /// geometry, 2x2 minimum filter, centered log-spectrum.
+  /// The intermediates the detectors read: round trip at the CNN geometry,
+  /// 2x2 minimum filter, centered log-spectrum.
   AnalysisContextSpec context_spec() const;
 
-  int target_width;
-  int target_height;
-  ScaleAlgo pipeline_algo;  // the deployed pre-processing scaler
+ private:
+  ScalingDetector scaling_mse_;
+  ScalingDetector scaling_ssim_;
+  FilteringDetector filtering_mse_;
+  FilteringDetector filtering_ssim_;
+  SteganalysisDetector steganalysis_;
+  HistogramDetector histogram_;
 };
 
 /// Runs (or loads from cache) the full experiment. `cache_dir` empty

@@ -230,17 +230,15 @@ DefendedDetector::DefendedDetector(std::shared_ptr<const Detector> inner,
                 "DefendedDetector needs a non-null inner detector");
 }
 
-double DefendedDetector::score(const Image& input) const {
-  if (chain_.empty()) return inner_->score(input);
-  return inner_->score(chain_.apply(input));
+void DefendedDetector::prime(AnalysisContextSpec& spec) const {
+  // The context's intermediates describe the RAW input, so only an empty
+  // chain may ask for them.
+  if (chain_.empty()) inner_->prime(spec);
 }
 
-double DefendedDetector::score(const AnalysisContext& context) const {
-  // The context's intermediates describe the RAW input; after the defense
-  // transform they are stale, so score from the pixels alone. With an empty
-  // chain the intermediates are still valid — pass them through.
+double DefendedDetector::reduce(AnalysisContext& context) const {
   if (chain_.empty()) return inner_->score(context);
-  return score(context.input());
+  return inner_->score(chain_.apply(context.input()));
 }
 
 std::string DefendedDetector::name() const {

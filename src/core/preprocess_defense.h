@@ -94,25 +94,26 @@ class DefenseChain {
 };
 
 /// A detector scored through a defense chain: score(x) of the wrapped
-/// detector on chain.apply(x). The context overloads intentionally recompute
-/// from the (transformed) input instead of reusing shared intermediates —
-/// a context built for the RAW image holds the wrong round trip / filtered
-/// image / spectrum for the defended view, and silently consuming it would
-/// change the score. name() is "<chain>><inner>", e.g.
+/// detector on chain.apply(x). A non-empty chain primes nothing and scores
+/// the inner detector on the transformed input — a context built for the RAW
+/// image holds the wrong round trip / filtered image / spectrum for the
+/// defended view, and consuming it would change the score. An empty chain
+/// passes the context straight through. name() is "<chain>><inner>", e.g.
 /// "squeeze4>scaling/mse".
 class DefendedDetector final : public Detector {
  public:
   /// Throws std::invalid_argument when `inner` is null.
   DefendedDetector(std::shared_ptr<const Detector> inner, DefenseChain chain);
 
-  double score(const Image& input) const override;
-  double score(const AnalysisContext& context) const override;
+  void prime(AnalysisContextSpec& spec) const override;
   std::string name() const override;
 
   const DefenseChain& chain() const { return chain_; }
   const Detector& inner() const { return *inner_; }
 
  private:
+  double reduce(AnalysisContext& context) const override;
+
   std::shared_ptr<const Detector> inner_;
   DefenseChain chain_;
 };

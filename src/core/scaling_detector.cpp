@@ -6,15 +6,6 @@
 
 namespace decam::core {
 
-const char* to_string(Metric metric) {
-  switch (metric) {
-    case Metric::MSE: return "mse";
-    case Metric::SSIM: return "ssim";
-    case Metric::CSP: return "csp";
-  }
-  return "?";
-}
-
 ScalingDetector::ScalingDetector(ScalingDetectorConfig config)
     : config_(config) {
   DECAM_REQUIRE(config.down_width > 0 && config.down_height > 0,
@@ -28,35 +19,16 @@ Image ScalingDetector::round_trip(const Image& input) const {
                           config_.down_algo, config_.up_algo);
 }
 
-double ScalingDetector::score(const Image& input) const {
-  DECAM_SPAN(config_.metric == Metric::MSE ? "detector/scaling/mse"
-                                           : "detector/scaling/ssim");
-  DECAM_REQUIRE(input.width() > config_.down_width &&
-                    input.height() > config_.down_height,
-                "input must be larger than the CNN geometry");
-  const Image round = round_trip(input);
-  return config_.metric == Metric::MSE ? mse(input, round)
-                                       : ssim(input, round);
-}
-
-double ScalingDetector::score(const AnalysisContext& context) const {
-  if (!context.round_trip_matches(config_.down_width, config_.down_height,
-                                  config_.down_algo, config_.up_algo)) {
-    return score(context.input());
-  }
+double ScalingDetector::reduce(AnalysisContext& context) const {
   DECAM_SPAN(config_.metric == Metric::MSE ? "detector/scaling/mse"
                                            : "detector/scaling/ssim");
   const Image& input = context.input();
   DECAM_REQUIRE(input.width() > config_.down_width &&
                     input.height() > config_.down_height,
                 "input must be larger than the CNN geometry");
+  context.ensure(AnalysisStage::RoundTrip);
   return config_.metric == Metric::MSE ? mse(input, context.round_trip())
                                        : ssim(input, context.round_trip());
-}
-
-double ScalingDetector::score(AnalysisContext& context) const {
-  context.ensure(AnalysisStage::RoundTrip);
-  return score(static_cast<const AnalysisContext&>(context));
 }
 
 void ScalingDetector::prime(AnalysisContextSpec& spec) const {

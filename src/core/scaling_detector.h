@@ -21,12 +21,6 @@ class ScalingDetector final : public Detector {
  public:
   explicit ScalingDetector(ScalingDetectorConfig config);
 
-  double score(const Image& input) const override;
-  /// Reuses the context's round trip when it matches this geometry+scaler
-  /// pair; recomputes otherwise.
-  double score(const AnalysisContext& context) const override;
-  /// Staged scoring: materialises the round-trip stage first.
-  double score(AnalysisContext& context) const override;
   void prime(AnalysisContextSpec& spec) const override;
   std::string name() const override;
 
@@ -36,6 +30,10 @@ class ScalingDetector final : public Detector {
   const ScalingDetectorConfig& config() const { return config_; }
 
  private:
+  /// Rejects inputs no larger than the CNN geometry before building the
+  /// round trip, then reduces (input, round trip) with the metric.
+  double reduce(AnalysisContext& context) const override;
+
   ScalingDetectorConfig config_;
 };
 

@@ -77,22 +77,10 @@ int SteganalysisDetector::count_csp_in(const Image& spectrum) const {
   return count_blobs(binarize_spectrum(spectrum), min_area);
 }
 
-double SteganalysisDetector::score(const Image& input) const {
+double SteganalysisDetector::reduce(AnalysisContext& context) const {
   DECAM_SPAN("detector/steganalysis/csp");
-  return static_cast<double>(count_csp(input));
-}
-
-double SteganalysisDetector::score(const AnalysisContext& context) const {
-  if (!context.has_spectrum()) {
-    return score(context.input());
-  }
-  DECAM_SPAN("detector/steganalysis/csp");
-  return static_cast<double>(count_csp_in(context.spectrum()));
-}
-
-double SteganalysisDetector::score(AnalysisContext& context) const {
   context.ensure(AnalysisStage::Spectrum);
-  return score(static_cast<const AnalysisContext&>(context));
+  return static_cast<double>(count_csp_in(context.spectrum()));
 }
 
 void SteganalysisDetector::prime(AnalysisContextSpec& spec) const {

@@ -31,12 +31,6 @@ class SteganalysisDetector final : public Detector {
  public:
   explicit SteganalysisDetector(SteganalysisDetectorConfig config = {});
 
-  /// Returns the CSP count as a double (integer-valued).
-  double score(const Image& input) const override;
-  /// Consumes the context's precomputed log-spectrum when present.
-  double score(const AnalysisContext& context) const override;
-  /// Staged scoring: materialises the spectrum stage first.
-  double score(AnalysisContext& context) const override;
   void prime(AnalysisContextSpec& spec) const override;
   std::string name() const override;
 
@@ -56,6 +50,9 @@ class SteganalysisDetector final : public Detector {
   const SteganalysisDetectorConfig& config() const { return config_; }
 
  private:
+  /// The CSP count of the context's spectrum, as a double (integer-valued).
+  double reduce(AnalysisContext& context) const override;
+
   SteganalysisDetectorConfig config_;
 };
 

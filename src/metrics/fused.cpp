@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 
 #include "common/simd.h"
+#include "metrics/mse.h"
 
 namespace decam {
 namespace {
@@ -146,12 +146,7 @@ PairStats pair_stats(const Image& a, const Image& b,
   PairStats stats;
   stats.mse = mse_sum / static_cast<double>(a.size());
   stats.ssim = ssim_total / a.channels();
-  if (stats.mse == 0.0) {
-    stats.psnr = std::numeric_limits<double>::infinity();
-  } else {
-    constexpr double peak = 255.0;
-    stats.psnr = 10.0 * std::log10(peak * peak / stats.mse);
-  }
+  stats.psnr = psnr_from_mse(stats.mse);
   return stats;
 }
 

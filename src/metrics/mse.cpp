@@ -1,8 +1,5 @@
 #include "metrics/mse.h"
 
-#include <cmath>
-#include <limits>
-
 namespace decam {
 
 double mse(const Image& a, const Image& b) {
@@ -18,11 +15,6 @@ double mse(const Image& a, const Image& b) {
   return sum / static_cast<double>(a.size());
 }
 
-double psnr(const Image& a, const Image& b) {
-  const double err = mse(a, b);
-  if (err == 0.0) return std::numeric_limits<double>::infinity();
-  constexpr double peak = 255.0;
-  return 10.0 * std::log10(peak * peak / err);
-}
+double psnr(const Image& a, const Image& b) { return psnr_from_mse(mse(a, b)); }
 
 }  // namespace decam

@@ -58,23 +58,32 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "quickstart failed: ${rc}")
 endif()
 
-foreach(threads 1 4)
+# A third run takes the same scan path with --short-circuit: it may only
+# drop scores (null), never change a verdict or a score it reports.
+foreach(run 1 4 sc)
+  set(threads ${run})
+  set(mode_flag)
+  if(run STREQUAL "sc")
+    set(threads 4)
+    set(mode_flag --short-circuit)
+  endif()
   execute_process(
     COMMAND ${DECAMCTL} scan
             ${WORK_DIR}/quickstart_out/scene.ppm
             ${WORK_DIR}/quickstart_out/attack.ppm
             ${WORK_DIR}/quickstart_out/attack_roundtrip.ppm
             --width 112 --height 112 --defense squeeze4+jpeg75
-            --json --threads ${threads}
+            --json --threads ${threads} ${mode_flag}
     OUTPUT_VARIABLE scan_out ERROR_QUIET RESULT_VARIABLE rc)
   # 0 = all benign, 3 = attack flagged; both are successful scans.
   if(NOT rc EQUAL 0 AND NOT rc EQUAL 3)
     message(FATAL_ERROR
-            "defended scan --threads ${threads} failed: ${rc}")
+            "defended scan --threads ${threads} ${mode_flag} failed: ${rc}")
   endif()
+  set(raw_${run} "${scan_out}")
   string(REGEX REPLACE "\"(total_)?latency_ms\": [0-9.eE+-]+" "latency"
          scan_scrubbed "${scan_out}")
-  set(scan_${threads} "${scan_scrubbed}")
+  set(scan_${run} "${scan_scrubbed}")
 endforeach()
 
 if(NOT scan_1 STREQUAL scan_4)
@@ -87,3 +96,41 @@ if(NOT scan_1 MATCHES "squeeze4\\+jpeg75>scaling/mse")
 endif()
 message(STATUS "defended scan determinism OK (squeeze4+jpeg75, "
                "bit-identical JSON scores at 1 and 4 threads)")
+
+# Short-circuit vs full vote, per image: same verdict, and every score the
+# short circuit reports (non-null) equals the full-mode score. Both sides
+# go through the same JSON number conversion, so equal strings mean equal
+# doubles.
+string(JSON images LENGTH "${raw_1}")
+string(JSON sc_images LENGTH "${raw_sc}")
+if(NOT images EQUAL sc_images)
+  message(FATAL_ERROR "short-circuit scan reported ${sc_images} images, "
+                      "the full vote ${images}")
+endif()
+math(EXPR last_image "${images} - 1")
+set(skipped 0)
+foreach(i RANGE ${last_image})
+  string(JSON full_verdict GET "${raw_1}" ${i} verdict)
+  string(JSON sc_verdict GET "${raw_sc}" ${i} verdict)
+  if(NOT full_verdict STREQUAL sc_verdict)
+    message(FATAL_ERROR "image ${i}: short-circuit verdict ${sc_verdict}, "
+                        "full vote ${full_verdict}:\n${raw_sc}")
+  endif()
+  string(JSON members LENGTH "${raw_1}" ${i} detectors)
+  math(EXPR last_member "${members} - 1")
+  foreach(j RANGE ${last_member})
+    string(JSON sc_type TYPE "${raw_sc}" ${i} detectors ${j} score)
+    if(sc_type STREQUAL "NULL")
+      math(EXPR skipped "${skipped} + 1")
+      continue()
+    endif()
+    string(JSON full_score GET "${raw_1}" ${i} detectors ${j} score)
+    string(JSON sc_score GET "${raw_sc}" ${i} detectors ${j} score)
+    if(NOT full_score STREQUAL sc_score)
+      message(FATAL_ERROR "image ${i} member ${j}: short-circuit score "
+                          "${sc_score}, full vote ${full_score}")
+    endif()
+  endforeach()
+endforeach()
+message(STATUS "defended short-circuit scan OK (verdicts and reported "
+               "scores equal the full vote; ${skipped} members skipped)")

@@ -7,6 +7,11 @@
 // floating-point addition order. EXPECT_EQ on doubles holds that promise to
 // account, at one worker thread and at four (per-image scoring must not
 // depend on the pool), and with the ensemble short circuit on and off.
+//
+// The production detectors are pinned the same way: their bare-image
+// scores, the Battery columns that project them, their full-vote decide()
+// scores, and their scores through a context built for another
+// configuration must all be the one captured value.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -14,6 +19,7 @@
 #include "common/simd.h"
 #include "core/ensemble.h"
 #include "core/filtering_detector.h"
+#include "core/histogram_detector.h"
 #include "core/pipeline.h"
 #include "core/scaling_detector.h"
 #include "core/steganalysis_detector.h"
@@ -52,6 +58,37 @@ const GoldenRow kGolden[] = {
       1.3106481481481482, 0.99464093665538611, 46.955942426537376, 1,
       0.97696759259259258}},
 };
+
+// Production detector scores on the same four scenes, captured before the
+// detectors and the Battery shared one scoring engine: scaling/mse and
+// histogram/intersection at the 24x24 bilinear geometry, the default
+// filtering/min/ssim (2x2) and steganalysis/csp.
+struct DetectorGolden {
+  double scaling_mse;
+  double filtering_ssim;
+  double csp;
+  double histogram;
+};
+const DetectorGolden kDetectorGolden[] = {
+    {3.1946383228719815, 0.98539203291011079, 1, 0.97932282480893607},
+    {5.217055056991251, 0.98044073566642709, 1, 0.96921296296296278},
+    {18.607354943271304, 0.97325145632309373, 1, 0.96012576915983461},
+    {1.1383306385411911, 0.99464093665538611, 1, 0.97696759259259258},
+};
+
+core::ScalingDetectorConfig golden_scaling(int side) {
+  core::ScalingDetectorConfig config;
+  config.down_width = config.down_height = side;
+  config.metric = core::Metric::MSE;
+  return config;
+}
+
+core::FilteringDetectorConfig golden_filtering(int window) {
+  core::FilteringDetectorConfig config;
+  config.window = window;
+  config.metric = core::Metric::SSIM;
+  return config;
+}
 
 core::Battery golden_battery() {
   core::ExperimentConfig config;
@@ -142,6 +179,82 @@ TEST(BatteryGolden, ShortCircuitPreservesEvaluatedScores) {
       EXPECT_EQ(*fast_decision.scores[i], *full_decision.scores[i])
           << "member " << i;
     }
+  }
+}
+
+// Each production detector's score, through every path that computes it:
+// the bare image, the Battery column that projects it, and the full-mode
+// ensemble vote.
+TEST(BatteryGolden, ProductionDetectorScoresBitIdentical) {
+  runtime::set_thread_count(1);
+  core::HistogramDetectorConfig histogram_config;
+  histogram_config.down_width = histogram_config.down_height = 24;
+  const auto scaling =
+      std::make_shared<core::ScalingDetector>(golden_scaling(24));
+  const auto filtering =
+      std::make_shared<core::FilteringDetector>(golden_filtering(2));
+  const auto steganalysis = std::make_shared<core::SteganalysisDetector>();
+  const auto histogram =
+      std::make_shared<core::HistogramDetector>(histogram_config);
+  ASSERT_EQ(scaling->name(), "scaling/mse");
+  ASSERT_EQ(filtering->name(), "filtering/min/ssim");
+  ASSERT_EQ(steganalysis->name(), "steganalysis/csp");
+  ASSERT_EQ(histogram->name(), "histogram/intersection");
+
+  const core::Calibration any{0.5, core::Polarity::HighIsAttack, 0.0};
+  core::EnsembleDetector full{
+      {{scaling, any}, {filtering, any}, {steganalysis, any}, {histogram, any}}};
+  full.set_short_circuit(false);
+  const core::Battery battery = golden_battery();
+
+  const std::vector<Image> scenes = golden_scenes();
+  for (std::size_t i = 0; i < scenes.size(); ++i) {
+    const DetectorGolden& golden = kDetectorGolden[i];
+    const Image& scene = scenes[i];
+    EXPECT_EQ(scaling->score(scene), golden.scaling_mse) << "scene " << i;
+    EXPECT_EQ(filtering->score(scene), golden.filtering_ssim) << "scene " << i;
+    EXPECT_EQ(steganalysis->score(scene), golden.csp) << "scene " << i;
+    EXPECT_EQ(histogram->score(scene), golden.histogram) << "scene " << i;
+
+    const core::ScoreRow row = battery.score(scene);
+    EXPECT_EQ(row.scaling_mse, golden.scaling_mse) << "scene " << i;
+    EXPECT_EQ(row.filtering_ssim, golden.filtering_ssim) << "scene " << i;
+    EXPECT_EQ(row.csp, golden.csp) << "scene " << i;
+    EXPECT_EQ(row.histogram, golden.histogram) << "scene " << i;
+
+    const core::EnsembleDetector::Decision decision = full.decide(scene);
+    ASSERT_EQ(decision.evaluated, 4u);
+    EXPECT_EQ(*decision.scores[0], golden.scaling_mse) << "scene " << i;
+    EXPECT_EQ(*decision.scores[1], golden.filtering_ssim) << "scene " << i;
+    EXPECT_EQ(*decision.scores[2], golden.csp) << "scene " << i;
+    EXPECT_EQ(*decision.scores[3], golden.histogram) << "scene " << i;
+  }
+}
+
+// A context built for another configuration is never read: the detector
+// scores through a private context and returns its fresh score.
+TEST(BatteryGolden, MismatchedContextScoresEqualFreshScores) {
+  runtime::set_thread_count(1);
+  const core::ScalingDetector scaling24(golden_scaling(24));
+  const core::ScalingDetector scaling32(golden_scaling(32));
+  const core::FilteringDetector window2(golden_filtering(2));
+  const core::FilteringDetector window3(golden_filtering(3));
+
+  const std::vector<Image> scenes = golden_scenes();
+  for (std::size_t i = 0; i < scenes.size(); ++i) {
+    const Image& scene = scenes[i];
+    core::AnalysisContextSpec spec;
+    scaling32.prime(spec);
+    window2.prime(spec);
+    core::AnalysisContext context(scene, spec);
+    EXPECT_EQ(scaling24.score(context), kDetectorGolden[i].scaling_mse)
+        << "scene " << i;
+    EXPECT_EQ(scaling24.score(context), scaling24.score(scene))
+        << "scene " << i;
+    EXPECT_EQ(window3.score(context), window3.score(scene)) << "scene " << i;
+    // Reading the window-2 image would have returned window2's score.
+    EXPECT_NE(window3.score(context), window2.score(context))
+        << "scene " << i;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "attack/scale_attack.h"
+#include "core/ensemble.h"
 #include "core/filtering_detector.h"
 #include "core/histogram_detector.h"
 #include "core/scaling_detector.h"
@@ -72,6 +73,18 @@ TEST(ScalingDetector, RoundTripHasInputGeometry) {
 TEST(ScalingDetector, RejectsInputsSmallerThanTarget) {
   const ScalingDetector detector{scaling_config(Metric::MSE)};
   EXPECT_THROW(detector.score(Image(16, 16, 3)), std::invalid_argument);
+}
+
+// A too-small input is rejected before the round trip is built: a Deferred
+// context (a short-circuit scan's) must not pay for a stage nothing reads.
+TEST(ScalingDetector, RejectsTooSmallInputBeforeBuildingTheRoundTrip) {
+  const ScalingDetector detector{scaling_config(Metric::MSE)};
+  const Image thumbnail(32, 32, 3, 0.5f);
+  AnalysisContextSpec spec;
+  detector.prime(spec);
+  AnalysisContext context(thumbnail, spec, AnalysisContext::Build::Deferred);
+  EXPECT_THROW(detector.score(context), std::invalid_argument);
+  EXPECT_FALSE(context.has_round_trip());
 }
 
 TEST(ScalingDetector, ConfigValidation) {
@@ -207,6 +220,24 @@ TEST(HistogramDetector, ScoresAreValidSimilaritiesWithExpectedDirection) {
   EXPECT_GE(attack_score, 0.0);
   EXPECT_LE(attack_score, 1.0 + 1e-12);
   EXPECT_LT(attack_score, benign_score);
+}
+
+// On a Deferred ensemble context the histogram baseline reads the context's
+// downscale (building it if need be) instead of resizing again, and scores
+// exactly as it does on the bare image.
+TEST(HistogramDetector, ScoresThroughADeferredEnsembleContext) {
+  HistogramDetectorConfig config;
+  config.down_width = config.down_height = 32;
+  const auto detector = std::make_shared<HistogramDetector>(config);
+  const EnsembleDetector ensemble(
+      {{std::make_shared<ScalingDetector>(scaling_config(Metric::MSE)),
+        Calibration{}},
+       {detector, Calibration{}}});
+  const Pair pair = make_pair(24);
+  AnalysisContext context(pair.attack, ensemble.context_spec(),
+                          AnalysisContext::Build::Deferred);
+  EXPECT_EQ(detector->score(context), detector->score(pair.attack));
+  EXPECT_TRUE(context.has_downscaled());
 }
 
 TEST(HistogramDetector, Name) {

@@ -15,10 +15,11 @@ namespace {
 class FixedDetector final : public Detector {
  public:
   explicit FixedDetector(double score) : score_(score) {}
-  double score(const Image&) const override { return score_; }
   std::string name() const override { return "fixed"; }
 
  private:
+  double reduce(AnalysisContext&) const override { return score_; }
+
   double score_;
 };
 
@@ -30,25 +31,29 @@ EnsembleDetector::Member member(double score, double threshold,
 
 const Image kDummy(4, 4, 1, 0.0f);
 
+bool flags(const EnsembleDetector& ensemble) {
+  return ensemble.decide(kDummy).attack;
+}
+
 TEST(Ensemble, UnanimousAttackVoteFlags) {
   const EnsembleDetector ensemble({member(10, 5), member(10, 5),
                                    member(10, 5)});
-  EXPECT_TRUE(ensemble.is_attack(kDummy));
+  EXPECT_TRUE(flags(ensemble));
 }
 
 TEST(Ensemble, MajorityWinsTwoToOne) {
   const EnsembleDetector ensemble({member(10, 5), member(10, 5),
                                    member(1, 5)});
-  EXPECT_TRUE(ensemble.is_attack(kDummy));
+  EXPECT_TRUE(flags(ensemble));
   const EnsembleDetector benign_majority({member(1, 5), member(1, 5),
                                           member(10, 5)});
-  EXPECT_FALSE(benign_majority.is_attack(kDummy));
+  EXPECT_FALSE(flags(benign_majority));
 }
 
 TEST(Ensemble, TieCountsAsBenign) {
   // Even membership with a 1-1 split: not a strict majority.
   const EnsembleDetector ensemble({member(10, 5), member(1, 5)});
-  EXPECT_FALSE(ensemble.is_attack(kDummy));
+  EXPECT_FALSE(flags(ensemble));
 }
 
 TEST(Ensemble, MixedPolaritiesVoteCorrectly) {
@@ -57,17 +62,17 @@ TEST(Ensemble, MixedPolaritiesVoteCorrectly) {
       {member(10, 5, Polarity::HighIsAttack),
        member(0.2, 0.5, Polarity::LowIsAttack),
        member(1, 5, Polarity::HighIsAttack)});
-  EXPECT_TRUE(ensemble.is_attack(kDummy));
+  EXPECT_TRUE(flags(ensemble));
 }
 
 TEST(Ensemble, VotesExposeIndividualDecisions) {
-  const EnsembleDetector ensemble({member(10, 5), member(1, 5),
-                                   member(7, 7)});
-  const std::vector<bool> votes = ensemble.votes(kDummy);
-  ASSERT_EQ(votes.size(), 3u);
-  EXPECT_TRUE(votes[0]);
-  EXPECT_FALSE(votes[1]);
-  EXPECT_TRUE(votes[2]);  // score == threshold counts as attack
+  EnsembleDetector ensemble({member(10, 5), member(1, 5), member(7, 7)});
+  ensemble.set_short_circuit(false);
+  const EnsembleDetector::Decision decision = ensemble.decide(kDummy);
+  ASSERT_EQ(decision.votes.size(), 3u);
+  EXPECT_TRUE(*decision.votes[0]);
+  EXPECT_FALSE(*decision.votes[1]);
+  EXPECT_TRUE(*decision.votes[2]);  // score == threshold counts as attack
 }
 
 TEST(Ensemble, VoteScoresBypassesDetectors) {
@@ -83,7 +88,7 @@ TEST(Ensemble, VoteScoresBypassesDetectors) {
 
 TEST(Ensemble, SingleMemberActsAsThatDetector) {
   const EnsembleDetector ensemble({member(10, 5)});
-  EXPECT_TRUE(ensemble.is_attack(kDummy));
+  EXPECT_TRUE(flags(ensemble));
 }
 
 TEST(Ensemble, ValidatesConstruction) {
@@ -98,19 +103,16 @@ class CountingDetector final : public Detector {
  public:
   CountingDetector(double score, std::string name)
       : score_(score), name_(std::move(name)) {}
-  double score(const Image&) const override {
-    ++calls;
-    return score_;
-  }
-  double score(const AnalysisContext&) const override {
-    ++calls;
-    return score_;
-  }
   std::string name() const override { return name_; }
 
   mutable int calls = 0;
 
  private:
+  double reduce(AnalysisContext&) const override {
+    ++calls;
+    return score_;
+  }
+
   double score_;
   std::string name_;
 };
@@ -197,7 +199,9 @@ TEST(EnsembleShortCircuit, DecisionMatchesFullVoteOnEveryPattern) {
     CountingEnsemble ce = counting_ensemble(scores);
     const EnsembleDetector::Decision decision = ce.ensemble.decide(kDummy);
     EXPECT_EQ(decision.attack, attack_votes >= 2) << "pattern " << pattern;
-    EXPECT_EQ(decision.attack, ce.ensemble.is_attack(kDummy))
+    CountingEnsemble full = counting_ensemble(scores);
+    full.ensemble.set_short_circuit(false);
+    EXPECT_EQ(decision.attack, full.ensemble.decide(kDummy).attack)
         << "pattern " << pattern;
   }
 }
@@ -209,6 +213,29 @@ TEST(EnsembleShortCircuit, SkippedMembersCountInObsLayer) {
   CountingEnsemble ce = counting_ensemble({1, 1, 10});
   (void)ce.ensemble.decide(kDummy);
   EXPECT_EQ(counter.value(), before + 1);
+}
+
+// decide() times every member it scores, in both modes, into the member's
+// `detector/<name>` histogram (decamctl's --stats and JSON latency_ms); a
+// skipped member records nothing and reports 0 ms.
+TEST(EnsembleShortCircuit, TimesEveryScoredMemberAndNoSkippedOne) {
+  auto& registry = obs::MetricsRegistry::instance();
+  auto& scored = registry.histogram("detector/stub0/fixed");
+  auto& skipped = registry.histogram("detector/stub2/fixed");
+  const std::uint64_t scored_before = scored.count();
+  const std::uint64_t skipped_before = skipped.count();
+  CountingEnsemble ce = counting_ensemble({1, 1, 10});
+  const EnsembleDetector::Decision decision = ce.ensemble.decide(kDummy);
+  ASSERT_EQ(decision.latencies_ms.size(), 3u);
+  EXPECT_GE(decision.latencies_ms[0], 0.0);
+  EXPECT_EQ(decision.latencies_ms[2], 0.0);
+  EXPECT_EQ(scored.count(), scored_before + 1);
+  EXPECT_EQ(skipped.count(), skipped_before);
+
+  ce.ensemble.set_short_circuit(false);
+  (void)ce.ensemble.decide(kDummy);
+  EXPECT_EQ(scored.count(), scored_before + 2);
+  EXPECT_EQ(skipped.count(), skipped_before + 1);
 }
 
 }  // namespace

@@ -168,7 +168,7 @@ TEST(PreprocessDefense, DefendedDetectorScoresThroughTheChain) {
 
   // The context overload must recompute from the raw input — a context's
   // cached intermediates describe the UNdefended image.
-  const AnalysisContext context(img, AnalysisContextSpec{});
+  AnalysisContext context(img, AnalysisContextSpec{});
   EXPECT_DOUBLE_EQ(defended.score(context), defended.score(img));
 }
 
