@@ -1,11 +1,13 @@
 // Fast Fourier Transform substrate for the steganalysis detector.
 //
 // Supports arbitrary lengths: power-of-two sizes run an iterative planned
-// radix-4/radix-2 Cooley-Tukey; everything else goes through Bluestein's
-// chirp-z algorithm (which internally uses a padded power-of-two
-// convolution). Real images of any geometry — Caltech-style 300x451, say —
-// therefore transform exactly, not via cropping or zero-padding that would
-// distort the spectrum the detector inspects.
+// radix-4/radix-2 Cooley-Tukey, other lengths whose prime factors are all
+// 2, 3, 5 or 7 (224, 300, 448, 480, 640, ...) a mixed-radix Stockham
+// autosort, and everything else Bluestein's chirp-z algorithm (which
+// internally uses a padded power-of-two convolution). Real images of any
+// geometry — Caltech-style 300x451, say — therefore transform exactly, not
+// via cropping or zero-padding that would distort the spectrum the detector
+// inspects.
 //
 // All twiddle/permutation tables live in the LRU plan cache (fft_plan.h);
 // the 2-D image transform additionally exploits the input being real

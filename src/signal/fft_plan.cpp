@@ -17,15 +17,27 @@ namespace {
 
 bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
+// The lengths an FftPlan covers: every prime factor is 2, 3, 5 or 7.
+bool is_fft_plan_length(std::size_t n) {
+  if (n == 0) return false;
+  for (const std::size_t p : {2u, 3u, 5u, 7u}) {
+    while (n % p == 0) n /= p;
+  }
+  return n == 1;
+}
+
 // ----------------------------------------------------------- plan build --
 
-FftPlan make_fft_plan(std::size_t n, bool inverse) {
-  DECAM_REQUIRE(is_pow2(n), "power-of-two plan for non-power-of-two length");
-  FftPlan plan;
-  plan.n = n;
-  plan.inverse = inverse;
-  plan.log2n = std::countr_zero(n);
+// exp(sign * 2*pi*i * num / den), from the exact index ratio.
+Complex unit_root(double sign, std::size_t num, std::size_t den) {
+  const double a = sign * 2.0 * std::numbers::pi * static_cast<double>(num) /
+                   static_cast<double>(den);
+  return {std::cos(a), std::sin(a)};
+}
 
+void build_pow2_stages(FftPlan& plan) {
+  const std::size_t n = plan.n;
+  const int log2n = std::countr_zero(n);
   plan.bitrev.resize(n);
   for (std::size_t i = 1, j = 0; i < n; ++i) {
     std::size_t bit = n >> 1;
@@ -37,11 +49,12 @@ FftPlan make_fft_plan(std::size_t n, bool inverse) {
   // Radix-4 stages combine length-L sub-transforms into 4L. When log2(n) is
   // odd a twiddle-free radix-2 stage runs first (DIT) or last (DIF), so the
   // radix-4 ladder starts at L = 2 instead of 1.
-  const double sign = inverse ? 1.0 : -1.0;
-  std::size_t L = (plan.log2n & 1) ? 2 : 1;
+  if (log2n & 1) plan.stages.push_back({2, 1, 0});
+  const double sign = plan.inverse ? 1.0 : -1.0;
+  std::size_t L = (log2n & 1) ? 2 : 1;
   for (; L * 4 <= n; L *= 4) {
-    plan.stages.emplace_back(static_cast<std::uint32_t>(L),
-                             static_cast<std::uint32_t>(plan.twiddles.size()));
+    plan.stages.push_back({4, static_cast<std::uint32_t>(L),
+                           static_cast<std::uint32_t>(plan.twiddles.size())});
     const double base =
         sign * 2.0 * std::numbers::pi / static_cast<double>(4 * L);
     for (std::size_t k = 0; k < L; ++k) {
@@ -50,6 +63,52 @@ FftPlan make_fft_plan(std::size_t n, bool inverse) {
       plan.twiddles.emplace_back(std::cos(2 * a), std::sin(2 * a));
       plan.twiddles.emplace_back(std::cos(3 * a), std::sin(3 * a));
     }
+  }
+}
+
+// Stockham stages for a 7-smooth, non-power-of-two n. The largest odd
+// radix goes first, where Ns = 1 spares its R - 1 twiddle products per
+// butterfly.
+void build_stockham_stages(FftPlan& plan) {
+  std::vector<std::uint32_t> radices;
+  std::size_t rest = plan.n;
+  for (const std::uint32_t p : {7u, 5u, 3u}) {
+    for (; rest % p == 0; rest /= p) radices.push_back(p);
+  }
+  for (; rest % 4 == 0; rest /= 4) radices.push_back(4);
+  if (rest == 2) radices.push_back(2);
+
+  const double sign = plan.inverse ? 1.0 : -1.0;
+  std::size_t ns = 1;
+  for (const std::uint32_t radix : radices) {
+    plan.stages.push_back({radix, static_cast<std::uint32_t>(ns),
+                           static_cast<std::uint32_t>(plan.twiddles.size())});
+    if (radix & 1) {
+      for (std::size_t q = 0; q < radix; ++q) {
+        plan.twiddles.push_back(unit_root(sign, q, radix));
+      }
+    }
+    if (ns > 1) {
+      for (std::size_t k = 0; k < ns; ++k) {
+        for (std::size_t r = 1; r < radix; ++r) {
+          plan.twiddles.push_back(unit_root(sign, r * k, radix * ns));
+        }
+      }
+    }
+    ns *= radix;
+  }
+}
+
+FftPlan make_fft_plan(std::size_t n, bool inverse) {
+  DECAM_REQUIRE(is_fft_plan_length(n),
+                "FftPlan for a length with a prime factor above 7");
+  FftPlan plan;
+  plan.n = n;
+  plan.inverse = inverse;
+  if (is_pow2(n)) {
+    build_pow2_stages(plan);
+  } else {
+    build_stockham_stages(plan);
   }
   return plan;
 }
@@ -76,11 +135,14 @@ inline void radix2_pairs(Complex* a, std::size_t n) {
 
 void dit_stages(const FftPlan& plan, Complex* a) {
   const std::size_t n = plan.n;
-  if (plan.log2n & 1) radix2_pairs(a, n);
   const double s = plan.inverse ? 1.0 : -1.0;
-  for (const auto& [L32, off] : plan.stages) {
-    const std::size_t L = L32;
-    const Complex* stage_tw = plan.twiddles.data() + off;
+  for (const FftStage& stage : plan.stages) {
+    if (stage.radix == 2) {
+      radix2_pairs(a, n);
+      continue;
+    }
+    const std::size_t L = stage.span;
+    const Complex* stage_tw = plan.twiddles.data() + stage.twiddle_offset;
     for (std::size_t i = 0; i < n; i += 4 * L) {
       Complex* p0 = a + i;
       Complex* p1 = a + i + L;
@@ -117,8 +179,12 @@ void dif_stages(const FftPlan& plan, Complex* a) {
   const std::size_t n = plan.n;
   const double s = plan.inverse ? 1.0 : -1.0;
   for (auto it = plan.stages.rbegin(); it != plan.stages.rend(); ++it) {
-    const std::size_t L = it->first;
-    const Complex* stage_tw = plan.twiddles.data() + it->second;
+    if (it->radix == 2) {
+      radix2_pairs(a, n);
+      continue;
+    }
+    const std::size_t L = it->span;
+    const Complex* stage_tw = plan.twiddles.data() + it->twiddle_offset;
     for (std::size_t i = 0; i < n; i += 4 * L) {
       Complex* p0 = a + i;
       Complex* p1 = a + i + L;
@@ -148,20 +214,177 @@ void dif_stages(const FftPlan& plan, Complex* a) {
       }
     }
   }
-  if (plan.log2n & 1) radix2_pairs(a, n);
+}
+
+// ------------------------------------------------------------ Stockham --
+
+// Butterflies of the autosort stages, in place on x[0..R) (real parts xr,
+// imaginary parts xi), explicit doubles for the __muldc3 reason above.
+// `s` is the transform sign; (cr[q], ci[q]) is the stage's root
+// exp(s*2*pi*i*q/R).
+
+inline void butterfly2(double* xr, double* xi) {
+  const double ur = xr[0] - xr[1], ui = xi[0] - xi[1];
+  xr[0] += xr[1];
+  xi[0] += xi[1];
+  xr[1] = ur;
+  xi[1] = ui;
+}
+
+inline void butterfly4(double* xr, double* xi, double s) {
+  const double u0r = xr[0] + xr[2], u0i = xi[0] + xi[2];
+  const double u1r = xr[0] - xr[2], u1i = xi[0] - xi[2];
+  const double u2r = xr[1] + xr[3], u2i = xi[1] + xi[3];
+  const double u3r = xr[1] - xr[3], u3i = xi[1] - xi[3];
+  // j * u3 with j = W_4 = exp(s*i*pi/2) = (0, s)
+  const double ju3r = -s * u3i, ju3i = s * u3r;
+  xr[0] = u0r + u2r;
+  xi[0] = u0i + u2i;
+  xr[1] = u1r + ju3r;
+  xi[1] = u1i + ju3i;
+  xr[2] = u0r - u2r;
+  xi[2] = u0i - u2i;
+  xr[3] = u1r - ju3r;
+  xi[3] = u1i - ju3i;
+}
+
+// Odd prime R: inputs pair up as a_j = x_j + x_{R-j}, b_j = x_j - x_{R-j},
+// and outputs k, R-k share the real combination sum_j Re(W^jk) a_j, with
+// the sum_j Im(W^jk) b_j term rotated by +i or -i:
+//   y_k     = x_0 + sum_j (Re(W^jk) a_j + i Im(W^jk) b_j)
+//   y_{R-k} = x_0 + sum_j (Re(W^jk) a_j - i Im(W^jk) b_j)
+template <int R>
+inline void butterfly_odd(double* xr, double* xi, const double* cr,
+                          const double* ci) {
+  constexpr int kHalf = R / 2;
+  double ar[kHalf + 1] = {}, ai[kHalf + 1] = {};
+  double br[kHalf + 1] = {}, bi[kHalf + 1] = {};
+  double y0r = xr[0], y0i = xi[0];
+  for (int j = 1; j <= kHalf; ++j) {
+    ar[j] = xr[j] + xr[R - j];
+    ai[j] = xi[j] + xi[R - j];
+    br[j] = xr[j] - xr[R - j];
+    bi[j] = xi[j] - xi[R - j];
+    y0r += ar[j];
+    y0i += ai[j];
+  }
+  for (int k = 1; k <= kHalf; ++k) {
+    double pr = xr[0], pi = xi[0], qr = 0.0, qi = 0.0;
+    for (int j = 1; j <= kHalf; ++j) {
+      const int q = (j * k) % R;
+      pr += cr[q] * ar[j];
+      pi += cr[q] * ai[j];
+      qr += ci[q] * br[j];
+      qi += ci[q] * bi[j];
+    }
+    // i * (qr + i qi) = (-qi, qr)
+    xr[k] = pr - qi;
+    xi[k] = pi + qr;
+    xr[R - k] = pr + qi;
+    xi[R - k] = pi - qr;
+  }
+  xr[0] = y0r;
+  xi[0] = y0i;
+}
+
+// One radix-R pass, src -> dst (n points, Ns = ns): butterfly j = b*Ns + k
+// reads src[j + r*n/R] (twiddled by W^(r*k)) and writes dst[b*Ns*R + k +
+// r*Ns]. Both sides are contiguous in k.
+template <int R, bool kTwiddle>
+void stockham_pass(const Complex* src, Complex* dst, std::size_t n,
+                   std::size_t ns, const Complex* table, double s) {
+  double cr[R] = {}, ci[R] = {};  // roots, read only by odd radices
+  if constexpr (R & 1) {
+    for (int q = 0; q < R; ++q) {
+      cr[q] = table[q].real();
+      ci[q] = table[q].imag();
+    }
+    table += R;
+  }
+  const std::size_t stride = n / R;
+  for (std::size_t j0 = 0; j0 < stride; j0 += ns) {
+    const Complex* in = src + j0;
+    Complex* out = dst + j0 * R;
+    const Complex* w = table;
+    for (std::size_t k = 0; k < ns; ++k) {
+      double xr[R], xi[R];
+      xr[0] = in[k].real();
+      xi[0] = in[k].imag();
+      for (int r = 1; r < R; ++r) {
+        const double vr = in[k + r * stride].real();
+        const double vi = in[k + r * stride].imag();
+        if constexpr (kTwiddle) {
+          const double wr = w[r - 1].real(), wi = w[r - 1].imag();
+          xr[r] = vr * wr - vi * wi;
+          xi[r] = vr * wi + vi * wr;
+        } else {
+          xr[r] = vr;
+          xi[r] = vi;
+        }
+      }
+      if constexpr (kTwiddle) w += R - 1;
+      if constexpr (R == 2) {
+        butterfly2(xr, xi);
+      } else if constexpr (R == 4) {
+        butterfly4(xr, xi, s);
+      } else {
+        butterfly_odd<R>(xr, xi, cr, ci);
+      }
+      for (int r = 0; r < R; ++r) out[k + r * ns] = Complex(xr[r], xi[r]);
+    }
+  }
+}
+
+template <int R>
+void stockham_stage(const Complex* src, Complex* dst, std::size_t n,
+                    std::size_t ns, const Complex* table, double s) {
+  if (ns == 1) {
+    stockham_pass<R, false>(src, dst, n, 1, table, s);
+  } else {
+    stockham_pass<R, true>(src, dst, n, ns, table, s);
+  }
+}
+
+void stockham_exec(const FftPlan& plan, Complex* data) {
+  const std::size_t n = plan.n;
+  // Grow-only per-thread ping-pong buffer, as for Bluestein's scratch.
+  thread_local std::vector<Complex> scratch;
+  if (scratch.size() < n) scratch.resize(n);
+  Complex* src = data;
+  Complex* dst = scratch.data();
+  const double s = plan.inverse ? 1.0 : -1.0;
+  for (const FftStage& stage : plan.stages) {
+    const Complex* table = plan.twiddles.data() + stage.twiddle_offset;
+    switch (stage.radix) {
+      case 2: stockham_stage<2>(src, dst, n, stage.span, table, s); break;
+      case 3: stockham_stage<3>(src, dst, n, stage.span, table, s); break;
+      case 4: stockham_stage<4>(src, dst, n, stage.span, table, s); break;
+      case 5: stockham_stage<5>(src, dst, n, stage.span, table, s); break;
+      default: stockham_stage<7>(src, dst, n, stage.span, table, s); break;
+    }
+    std::swap(src, dst);
+  }
+  // An odd stage count leaves the result in scratch; the copy back folds in
+  // the inverse's 1/n.
+  const double scale = plan.inverse ? 1.0 / static_cast<double>(n) : 1.0;
+  if (src != data) {
+    for (std::size_t i = 0; i < n; ++i) {
+      data[i] = Complex(scale * src[i].real(), scale * src[i].imag());
+    }
+  } else if (plan.inverse) {
+    for (std::size_t i = 0; i < n; ++i) data[i] *= scale;
+  }
 }
 
 // ----------------------------------------------------------------- cache --
 
 // Heap held by a cached plan, for the resident-bytes gauges. A Bluestein
-// plan's convolution sub-plans are shared_ptrs into the power-of-two cache
-// and are counted there, not here — summing both gauges never double
-// counts.
+// plan's convolution sub-plans are shared_ptrs into the FftPlan cache and
+// are counted there, not here — summing both gauges never double counts.
 std::uint64_t plan_bytes(const FftPlan& plan) {
   return plan.bitrev.capacity() * sizeof(std::uint32_t) +
          plan.twiddles.capacity() * sizeof(Complex) +
-         plan.stages.capacity() *
-             sizeof(std::pair<std::uint32_t, std::uint32_t>);
+         plan.stages.capacity() * sizeof(FftStage);
 }
 
 std::uint64_t plan_bytes(const BluesteinPlan& plan) {
@@ -251,7 +474,7 @@ class PlanLruCache {
   std::uint64_t resident_bytes_ = 0;
 };
 
-PlanLruCache<FftPlan>& pow2_cache() {
+PlanLruCache<FftPlan>& fft_plan_cache() {
   static PlanLruCache<FftPlan> cache;
   static const bool source_registered = [] {
     obs::register_memory_source(
@@ -312,7 +535,8 @@ std::shared_ptr<const FftPlan> get_fft_plan(std::size_t n, bool inverse) {
   static auto& hits = registry.counter("fft_plan_cache/hits");
   static auto& misses = registry.counter("fft_plan_cache/misses");
   static auto& evictions = registry.counter("fft_plan_cache/evictions");
-  return pow2_cache().get(n, inverse, make_fft_plan, hits, misses, evictions);
+  return fft_plan_cache().get(n, inverse, make_fft_plan, hits, misses,
+                              evictions);
 }
 
 std::shared_ptr<const BluesteinPlan> get_bluestein_plan(std::size_t n,
@@ -325,20 +549,24 @@ std::shared_ptr<const BluesteinPlan> get_bluestein_plan(std::size_t n,
                                evictions);
 }
 
-FftPlanCacheStats fft_plan_cache_stats() { return pow2_cache().stats(); }
+FftPlanCacheStats fft_plan_cache_stats() { return fft_plan_cache().stats(); }
 
 FftPlanCacheStats bluestein_plan_cache_stats() {
   return bluestein_cache().stats();
 }
 
 void clear_fft_plan_caches() {
-  pow2_cache().clear();
+  fft_plan_cache().clear();
   bluestein_cache().clear();
 }
 
 void fft_exec(const FftPlan& plan, Complex* data) {
   const std::size_t n = plan.n;
   if (n <= 1) return;
+  if (plan.bitrev.empty()) {
+    stockham_exec(plan, data);
+    return;
+  }
   for (std::size_t i = 1; i < n; ++i) {
     const std::uint32_t j = plan.bitrev[i];
     if (i < j) std::swap(data[i], data[j]);
@@ -351,11 +579,13 @@ void fft_exec(const FftPlan& plan, Complex* data) {
 }
 
 void fft_exec_dif_noperm(const FftPlan& plan, Complex* data) {
+  DECAM_REQUIRE(is_pow2(plan.n), "permutation-free FFT of a non-power-of-two");
   if (plan.n <= 1) return;
   dif_stages(plan, data);
 }
 
 void fft_exec_dit_noperm(const FftPlan& plan, Complex* data) {
+  DECAM_REQUIRE(is_pow2(plan.n), "permutation-free FFT of a non-power-of-two");
   if (plan.n <= 1) return;
   dit_stages(plan, data);
 }
@@ -399,16 +629,16 @@ void bluestein_exec(const BluesteinPlan& plan, Complex* data) {
 PlannedFft::PlannedFft(std::size_t n, bool inverse) : n_(n) {
   DECAM_REQUIRE(n >= 1, "fft of empty signal");
   if (n == 1) return;
-  if (is_pow2(n)) {
-    pow2_ = get_fft_plan(n, inverse);
+  if (is_fft_plan_length(n)) {
+    plan_ = get_fft_plan(n, inverse);
   } else {
     bluestein_ = get_bluestein_plan(n, inverse);
   }
 }
 
 void PlannedFft::operator()(Complex* data) const {
-  if (pow2_) {
-    fft_exec(*pow2_, data);
+  if (plan_) {
+    fft_exec(*plan_, data);
   } else if (bluestein_) {
     bluestein_exec(*bluestein_, data);
   }

@@ -107,8 +107,9 @@ std::vector<Complex> reference_fftshift(const std::vector<Complex>& data,
   return out;
 }
 
-// Power-of-two, odd, prime, and mixed-composite lengths — including the
-// image side lengths the detectors actually hit (224, 227, 300, 450).
+// Power-of-two, 7-smooth (mixed-radix 2/3/4/5/7 plans), and Bluestein
+// lengths (a prime factor above 7) — including the image side lengths the
+// detectors actually hit (224, 227, 300, 448, 450, 480, 640).
 class FftNaiveParity : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FftNaiveParity, ForwardMatchesNaiveDft) {
@@ -140,8 +141,11 @@ TEST_P(FftNaiveParity, RoundTripRecoversSignal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, FftNaiveParity,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 16, 27,
-                                           64, 97, 224, 227, 256, 300, 450),
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                           12, 14, 15, 16, 21, 25, 27, 35,
+                                           49, 63, 64, 97, 125, 210, 224,
+                                           227, 256, 300, 343, 448, 450,
+                                           480, 640, 1000),
                          [](const auto& info) {
                            return "n" + std::to_string(info.param);
                          });
@@ -177,7 +181,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{1, 1}, std::pair{1, 16}, std::pair{16, 1},
                       std::pair{1, 7}, std::pair{13, 1}, std::pair{5, 4},
                       std::pair{12, 7}, std::pair{16, 12}, std::pair{32, 32},
-                      std::pair{30, 14}, std::pair{27, 27}),
+                      std::pair{30, 14}, std::pair{27, 27},
+                      std::pair{14, 15}),
     [](const auto& info) {
       return "w" + std::to_string(info.param.first) + "h" +
              std::to_string(info.param.second);
@@ -211,7 +216,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{1, 1}, std::pair{1, 9}, std::pair{8, 1},
                       std::pair{2, 2}, std::pair{5, 3}, std::pair{8, 9},
                       std::pair{13, 7}, std::pair{16, 16}, std::pair{31, 12},
-                      std::pair{45, 45}, std::pair{64, 48}),
+                      std::pair{45, 45}, std::pair{64, 48},
+                      std::pair{56, 40}, std::pair{35, 21}),
     [](const auto& info) {
       return "w" + std::to_string(info.param.first) + "h" +
              std::to_string(info.param.second);
@@ -306,7 +312,8 @@ TEST(SpectrumParity, FusedLogMagnitudesMatchDefinition) {
 // including the row/column plans of the transform in flight).
 TEST(FftPlanCache, SizeSweepPastCapacityStaysCorrectAndBounded) {
   clear_fft_plan_caches();
-  // 150 distinct odd (Bluestein) sizes — well past the 64-entry capacity.
+  // 150 distinct odd sizes — over 100 of them with a prime factor above 7
+  // (Bluestein), well past the 64-entry capacity.
   for (std::size_t n = 3; n < 3 + 2 * 150; n += 2) {
     const auto signal = random_signal(n, n);
     const auto back = ifft(fft(signal));
@@ -320,20 +327,39 @@ TEST(FftPlanCache, SizeSweepPastCapacityStaysCorrectAndBounded) {
 
 TEST(FftPlanCache, HotSizeSurvivesChurn) {
   clear_fft_plan_caches();
-  // Establish a hot Bluestein size, then churn many cold sizes while
-  // touching the hot one — LRU must keep it resident (the old clear-all
-  // eviction forgot it every 64 distinct sizes).
-  const std::size_t hot = 450;
+  // Establish a hot Bluestein size (prime, m = 1024), then churn many cold
+  // sizes while touching the hot one — LRU must keep it resident (the old
+  // clear-all eviction forgot it every 64 distinct sizes).
+  const std::size_t hot = 449;
   (void)fft(random_signal(hot, 1));
   for (std::size_t i = 0; i < 200; ++i) {
     (void)fft(random_signal(101 + 2 * i, i + 2));
     (void)fft(random_signal(hot, i + 3));
   }
   const FftPlanCacheStats stats = bluestein_plan_cache_stats();
-  // 201 hot hits + 200 cold misses: with clear-all eviction the hot size
-  // would miss every ~32 rounds as well.
+  // 200 hot hits (one more where the cold sweep passes 449) + a cold miss
+  // per swept size with a prime factor above 7: with clear-all eviction the
+  // hot size would miss every ~32 rounds as well.
   EXPECT_GE(stats.hits, 200u);
   EXPECT_LE(stats.size, stats.capacity);
+}
+
+// Plan dispatch: every 7-smooth length gets an FftPlan (never a Bluestein
+// plan), and a length with a prime factor above 7 gets exactly one
+// Bluestein plan.
+TEST(FftPlanDispatch, SevenSmoothLengthsStayOffBluestein) {
+  clear_fft_plan_caches();
+  const std::size_t smooth[] = {224, 300, 448, 480, 640};
+  for (const std::size_t n : smooth) (void)fft(random_signal(n, n));
+  EXPECT_EQ(bluestein_plan_cache_stats().misses, 0u);
+  EXPECT_EQ(fft_plan_cache_stats().misses, std::size(smooth));
+
+  std::uint64_t expected_misses = 0;
+  for (const std::size_t n : {449u, 227u, 299u}) {
+    (void)fft(random_signal(n, n));
+    EXPECT_EQ(bluestein_plan_cache_stats().misses, ++expected_misses)
+        << "n=" << n;
+  }
 }
 
 }  // namespace

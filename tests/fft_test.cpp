@@ -1,5 +1,6 @@
 // Tests for the FFT substrate: known transforms, inverse round trips for
-// power-of-two and Bluestein sizes, 2-D separability, Parseval, fftshift.
+// power-of-two, mixed-radix and Bluestein sizes, 2-D separability,
+// Parseval, fftshift.
 #include "signal/fft.h"
 
 #include <gtest/gtest.h>
@@ -80,7 +81,8 @@ TEST_P(FftRoundTrip, ParsevalHolds) {
               1e-6 * time_energy * static_cast<double>(n));
 }
 
-// Mixes powers of two, primes (Bluestein), and highly composite sizes.
+// Mixes powers of two, primes (radix-3/5/7 or Bluestein), and highly
+// composite sizes (mixed-radix plans).
 INSTANTIATE_TEST_SUITE_P(VariousLengths, FftRoundTrip,
                          ::testing::Values(1, 2, 4, 8, 64, 256, 3, 5, 7, 13,
                                            97, 101, 6, 12, 60, 100, 224, 299),
@@ -108,14 +110,16 @@ TEST(Fft, RejectsEmptySignal) {
 }
 
 TEST(Fft2d, RoundTripOnRectangularGrid) {
-  const int w = 12, h = 7;  // rectangular with a Bluestein dimension
-  auto grid = random_signal(static_cast<std::size_t>(w) * h, 42);
-  const auto original = grid;
-  fft2d(grid, w, h, false);
-  fft2d(grid, w, h, true);
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_NEAR(grid[i].real(), original[i].real(), 1e-8);
-    EXPECT_NEAR(grid[i].imag(), original[i].imag(), 1e-8);
+  // Rectangular with a radix-7 column plan, then with a Bluestein one.
+  for (const auto& [w, h] : {std::pair{12, 7}, std::pair{12, 13}}) {
+    auto grid = random_signal(static_cast<std::size_t>(w) * h, 42);
+    const auto original = grid;
+    fft2d(grid, w, h, false);
+    fft2d(grid, w, h, true);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      EXPECT_NEAR(grid[i].real(), original[i].real(), 1e-8) << w << "x" << h;
+      EXPECT_NEAR(grid[i].imag(), original[i].imag(), 1e-8) << w << "x" << h;
+    }
   }
 }
 
