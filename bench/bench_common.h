@@ -1,9 +1,10 @@
 // Shared scaffolding for the table/figure reproduction binaries.
 //
 // Every bench runs the same two-stage experiment through
-// core::run_experiment (cached on disk, so the first binary in a `for b in
-// build/bench/*` sweep pays the dataset/attack generation cost and the
-// rest reuse it), then prints its table or figure from the cached scores.
+// core::run_experiment (cached on disk, so the first `repro <name>` of a
+// sweep over the paper's tables pays the dataset/attack generation cost and
+// the rest reuse it), then prints its table or figure from the cached
+// scores.
 //
 // Flags (all optional):
 //   --n <count>      images per class per split (default 50)
@@ -14,7 +15,8 @@
 //                    hardware concurrency); scores are bit-identical at
 //                    any thread count
 //   --manifest <F>   per-run manifest destination (default
-//                    MANIFEST_<binary>.json next to the cwd)
+//                    MANIFEST_<binary>.json, or MANIFEST_repro_<name>.json
+//                    for `repro <name>`, in the cwd)
 //   --no-manifest    suppress the manifest sidecar
 #pragma once
 
@@ -66,7 +68,8 @@ namespace manifest {
 
 struct RunManifest {
   std::string binary;              // argv[0] basename
-  std::vector<std::string> argv;   // arguments after the binary name
+  std::vector<std::string> argv;   // arguments after the binary name,
+                                   // a command name first if there is one
   bool quick = false;
   std::uint64_t seed = 0;
   int image_width = 0;             // primary work geometry of the run
@@ -85,8 +88,11 @@ inline std::string validate_manifest_json(std::string_view text);
 /// manifest_json -> file; returns false (with a stderr note) on I/O error.
 inline bool write_manifest(const RunManifest& m, const std::string& path);
 
-/// "MANIFEST_<binary basename>.json"
-inline std::string default_manifest_path(const char* argv0);
+/// "MANIFEST_<binary basename>.json", or
+/// "MANIFEST_<binary basename>_<command>.json" for a binary that takes a
+/// command name first (`repro table2`).
+inline std::string default_manifest_path(const char* argv0,
+                                         const char* command = nullptr);
 
 namespace detail {
 
@@ -135,7 +141,15 @@ struct BenchArgs {
   bool use_cache = true;
 };
 
-inline BenchArgs parse_args(int argc, char** argv) {
+inline constexpr const char* kFlagUsage =
+    "[--n N] [--seed S] [--quick] [--no-cache] [--threads N] [--manifest F] "
+    "[--no-manifest]";
+
+/// Parses the flags above. `command`, when given, is argv[1] of a binary
+/// that takes a command name first: the flags start after it and the
+/// default manifest is named after both.
+inline BenchArgs parse_args(int argc, char** argv,
+                            const char* command = nullptr) {
   BenchArgs args;
   args.config.n_train = 50;
   args.config.n_eval = 50;
@@ -145,7 +159,8 @@ inline BenchArgs parse_args(int argc, char** argv) {
   args.config.max_side = 512;
   args.config.seed = 42;
   manifest::RunManifest& run = manifest::detail::pending();
-  manifest::detail::pending_path() = manifest::default_manifest_path(argv[0]);
+  manifest::detail::pending_path() =
+      manifest::default_manifest_path(argv[0], command);
   {
     // basename(argv[0]) for the manifest's binary field.
     const std::string argv0 = argv[0];
@@ -154,7 +169,7 @@ inline BenchArgs parse_args(int argc, char** argv) {
   }
   run.argv.assign(argv + 1, argv + argc);
   bool want_manifest = true;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = command ? 2 : 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
       args.config.n_train = args.config.n_eval = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
@@ -179,10 +194,8 @@ inline BenchArgs parse_args(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--no-manifest") == 0) {
       want_manifest = false;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--n N] [--seed S] [--quick] [--no-cache] "
-                   "[--threads N] [--manifest F] [--no-manifest]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s%s%s %s\n", argv[0], command ? " " : "",
+                   command ? command : "", kFlagUsage);
       std::exit(2);
     }
   }
@@ -647,12 +660,14 @@ inline std::string json_escape(const std::string& text) {
 
 }  // namespace detail
 
-inline std::string default_manifest_path(const char* argv0) {
+inline std::string default_manifest_path(const char* argv0,
+                                         const char* command) {
   const std::string path = argv0;
   const std::size_t slash = path.find_last_of('/');
   const std::string base =
       slash == std::string::npos ? path : path.substr(slash + 1);
-  return "MANIFEST_" + base + ".json";
+  return "MANIFEST_" + base + (command ? std::string("_") + command : "") +
+         ".json";
 }
 
 inline std::string manifest_json(const RunManifest& m) {

@@ -1,5 +1,5 @@
 # CTest driver for the battery's thread-count determinism contract
-# (DESIGN.md §8): the same quick table8_ensemble experiment run on one
+# (DESIGN.md §8): the same quick `repro table8` experiment run on one
 # worker thread and on four must produce byte-identical cache TSVs — the
 # per-image score rows, serialised at %.17g, straight from disk. A single
 # ULP of drift anywhere in the fused metric pass or the parallel fan-out
@@ -11,11 +11,11 @@ foreach(threads 1 4)
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E env
             DECAM_CACHE_DIR=${WORK_DIR}/threads${threads}
-            ${TABLE8} --quick --threads ${threads} --no-manifest
+            ${REPRO} table8 --quick --threads ${threads} --no-manifest
     OUTPUT_QUIET
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "table8_ensemble --threads ${threads} failed: ${rc}")
+    message(FATAL_ERROR "repro table8 --threads ${threads} failed: ${rc}")
   endif()
 endforeach()
 

@@ -94,6 +94,8 @@ TEST(ManifestTest, DefaultPathUsesBinaryBasename) {
   EXPECT_EQ(default_manifest_path("/a/b/kernel_bench"),
             "MANIFEST_kernel_bench.json");
   EXPECT_EQ(default_manifest_path("table7"), "MANIFEST_table7.json");
+  EXPECT_EQ(default_manifest_path("/a/b/repro", "table2"),
+            "MANIFEST_repro_table2.json");
 }
 
 TEST(ManifestTest, WriteManifestRoundTripsThroughDisk) {
