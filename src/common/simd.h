@@ -25,6 +25,7 @@
 // kernel core a run actually used.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace decam::simd {
@@ -32,6 +33,9 @@ namespace decam::simd {
 enum class Isa { Scalar = 0, Avx2 = 1, Neon = 2 };
 
 const char* to_string(Isa isa);
+
+/// Taps of the SSIM window the pair-stats entries apply (11-tap Gaussian).
+inline constexpr int kPairStatsTaps = 11;
 
 /// One set of vectorized kernel primitives. All pointers are non-null in
 /// every table; `n` is the element count and buffers may be unaligned.
@@ -69,22 +73,34 @@ struct SimdOps {
   void (*tap_accumulate_f32)(double* acc, const float* in, float kw, int n);
   /// out[i] = (float)acc[i]
   void (*narrow_f64_f32)(float* out, const double* acc, int n);
-  /// acc[i] += w * in[i] (all double; double product, then double add)
-  void (*daxpy_f64)(double* acc, const double* in, double w, int n);
   /// out[i] = d * d with d = (double)a[i] - (double)b[i]
   void (*sqdiff_f64)(double* out, const float* a, const float* b, int n);
 
-  /// The fused pair-stats horizontal pass (metrics/fused.cpp): for each tap
-  /// t in ascending order with weight w = win[t], and per element i:
-  ///   da = (double)a_pad[i + t], db = (double)b_pad[i + t]
-  ///   mu_a[i] += w * da;        mu_b[i] += w * db;
-  ///   m_aa[i] += w * (da * da); m_bb[i] += w * (db * db);
-  ///   m_ab[i] += w * (da * db);
-  /// Callers zero the five planes first (0 + v == v keeps the order exact).
-  void (*pair_stats_taps)(double* mu_a, double* mu_b, double* m_aa,
-                          double* m_bb, double* m_ab, const float* a_pad,
-                          const float* b_pad, const double* win, int taps,
-                          int n);
+  /// The fused pair-stats horizontal pass (metrics/fused.cpp) over one
+  /// edge-padded source row, in groups of four output pixels. `pad` holds
+  /// five term rows at pad + s * stride (the caller's a, b, a * a, b * b
+  /// and a * b); `win` holds kPairStatsTaps weights. For lane x = 4 * g + l
+  /// of group g, the sum of stat s starts at 0.0 and adds
+  /// win[t] * pad[s * stride + x + t] for each tap t in ascending order
+  /// (product, then add). It is stored once, group-major:
+  /// row[20 * g + 4 * s + l], so a group's five sums are 160 contiguous
+  /// bytes. Reads each term row at [0, 4 * groups + kPairStatsTaps - 1).
+  void (*pair_stats_taps)(double* row, const double* pad, std::size_t stride,
+                          const double* win, int groups);
+  /// The fused pair-stats vertical pass and SSIM map of one output row.
+  /// rows[t] (t < kPairStatsTaps) are rows in pair_stats_taps' layout; they
+  /// may alias (the caller clamps the window at the image edges). For lane
+  /// x = 4 * g + l, each stat's sum v_s starts at 0.0 and adds
+  /// win[t] * rows[t][20 * g + 4 * s + l] for t ascending (product, then
+  /// add). With mu_a, mu_b, m_aa, m_bb, m_ab = v_0 .. v_4:
+  ///   va = m_aa - mu_a * mu_a;  vb = m_bb - mu_b * mu_b;
+  ///   cov = m_ab - mu_a * mu_b
+  ///   num = ((2.0 * mu_a) * mu_b + c1) * (2.0 * cov + c2)
+  ///   den = ((mu_a * mu_a + mu_b * mu_b) + c1) * ((va + vb) + c2)
+  ///   out[x] = num / den
+  /// for x in [0, 4 * groups).
+  void (*pair_stats_map)(double* out, const double* const* rows,
+                         const double* win, int groups, double c1, double c2);
 
   /// One 8x8 block of the JPEG simulator (imaging/jpeg_sim.cpp): forward
   /// DCT, quantisation, inverse DCT. Reads src[y * src_stride + x] and

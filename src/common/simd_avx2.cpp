@@ -142,20 +142,6 @@ void narrow_f64_f32(float* out, const double* acc, int n) {
   for (; i < n; ++i) out[i] = static_cast<float>(acc[i]);
 }
 
-void daxpy_f64(double* acc, const double* in, double w, int n) {
-  const __m256d wv = _mm256_set1_pd(w);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(in + i);
-    const __m256d a = _mm256_loadu_pd(acc + i);
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(a, _mm256_mul_pd(wv, v)));
-  }
-  for (; i < n; ++i) {
-    const double p = w * in[i];
-    acc[i] += p;
-  }
-}
-
 void sqdiff_f64(double* out, const float* a, const float* b, int n) {
   int i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -171,46 +157,59 @@ void sqdiff_f64(double* out, const float* a, const float* b, int n) {
   }
 }
 
-void pair_stats_taps(double* mu_a, double* mu_b, double* m_aa, double* m_bb,
-                     double* m_ab, const float* a_pad, const float* b_pad,
-                     const double* win, int taps, int n) {
-  for (int t = 0; t < taps; ++t) {
-    const double w = win[t];
-    const __m256d wv = _mm256_set1_pd(w);
-    const float* a = a_pad + t;
-    const float* b = b_pad + t;
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d da = _mm256_cvtps_pd(_mm_loadu_ps(a + i));
-      const __m256d db = _mm256_cvtps_pd(_mm_loadu_ps(b + i));
-      _mm256_storeu_pd(
-          mu_a + i,
-          _mm256_add_pd(_mm256_loadu_pd(mu_a + i), _mm256_mul_pd(wv, da)));
-      _mm256_storeu_pd(
-          mu_b + i,
-          _mm256_add_pd(_mm256_loadu_pd(mu_b + i), _mm256_mul_pd(wv, db)));
-      _mm256_storeu_pd(
-          m_aa + i,
-          _mm256_add_pd(_mm256_loadu_pd(m_aa + i),
-                        _mm256_mul_pd(wv, _mm256_mul_pd(da, da))));
-      _mm256_storeu_pd(
-          m_bb + i,
-          _mm256_add_pd(_mm256_loadu_pd(m_bb + i),
-                        _mm256_mul_pd(wv, _mm256_mul_pd(db, db))));
-      _mm256_storeu_pd(
-          m_ab + i,
-          _mm256_add_pd(_mm256_loadu_pd(m_ab + i),
-                        _mm256_mul_pd(wv, _mm256_mul_pd(da, db))));
+// Both pair-stats kernels keep one 4-pixel group's five sums in registers
+// for all taps and store them once.
+void pair_stats_taps(double* row, const double* pad, std::size_t stride,
+                     const double* win, int groups) {
+  // The eleven weights stay in registers too; the loads fold into the
+  // multiplies.
+  __m256d w[kPairStatsTaps];
+  for (int t = 0; t < kPairStatsTaps; ++t) w[t] = _mm256_broadcast_sd(win + t);
+  for (int g = 0; g < groups; ++g) {
+    const double* in = pad + 4 * g;
+    __m256d v[5];
+    for (__m256d& sum : v) sum = _mm256_setzero_pd();
+    for (int t = 0; t < kPairStatsTaps; ++t) {
+      for (int s = 0; s < 5; ++s) {
+        v[s] = _mm256_add_pd(
+            v[s], _mm256_mul_pd(w[t], _mm256_loadu_pd(in + s * stride + t)));
+      }
     }
-    for (; i < n; ++i) {
-      const double da = static_cast<double>(a[i]);
-      const double db = static_cast<double>(b[i]);
-      mu_a[i] += w * da;
-      mu_b[i] += w * db;
-      m_aa[i] += w * (da * da);
-      m_bb[i] += w * (db * db);
-      m_ab[i] += w * (da * db);
+    double* out = row + 20 * g;
+    for (int s = 0; s < 5; ++s) _mm256_storeu_pd(out + 4 * s, v[s]);
+  }
+}
+
+void pair_stats_map(double* out, const double* const* rows,
+                    const double* win, int groups, double c1, double c2) {
+  const __m256d two = _mm256_set1_pd(2.0);
+  const __m256d c1v = _mm256_set1_pd(c1);
+  const __m256d c2v = _mm256_set1_pd(c2);
+  for (int g = 0; g < groups; ++g) {
+    __m256d v[5];
+    for (__m256d& sum : v) sum = _mm256_setzero_pd();
+    for (int t = 0; t < kPairStatsTaps; ++t) {
+      const __m256d w = _mm256_broadcast_sd(win + t);
+      const double* in = rows[t] + 20 * g;
+      for (int s = 0; s < 5; ++s) {
+        v[s] = _mm256_add_pd(v[s],
+                             _mm256_mul_pd(w, _mm256_loadu_pd(in + 4 * s)));
+      }
     }
+    const __m256d mu_a = v[0];
+    const __m256d mu_b = v[1];
+    const __m256d aa = _mm256_mul_pd(mu_a, mu_a);
+    const __m256d bb = _mm256_mul_pd(mu_b, mu_b);
+    const __m256d va = _mm256_sub_pd(v[2], aa);
+    const __m256d vb = _mm256_sub_pd(v[3], bb);
+    const __m256d cov = _mm256_sub_pd(v[4], _mm256_mul_pd(mu_a, mu_b));
+    const __m256d num = _mm256_mul_pd(
+        _mm256_add_pd(_mm256_mul_pd(_mm256_mul_pd(two, mu_a), mu_b), c1v),
+        _mm256_add_pd(_mm256_mul_pd(two, cov), c2v));
+    const __m256d den =
+        _mm256_mul_pd(_mm256_add_pd(_mm256_add_pd(aa, bb), c1v),
+                      _mm256_add_pd(_mm256_add_pd(va, vb), c2v));
+    _mm256_storeu_pd(out + 4 * g, _mm256_div_pd(num, den));
   }
 }
 
@@ -325,7 +324,7 @@ const SimdOps& avx2_ops() {
       hist_rank16_u16,
       weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
-      daxpy_f64,       sqdiff_f64,        pair_stats_taps,
+      sqdiff_f64,      pair_stats_taps,   pair_stats_map,
       jpeg_block,
   };
   return ops;

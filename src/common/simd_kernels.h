@@ -18,7 +18,14 @@ const SimdOps& scalar_ops();
 /// by one definition, so every table multiplies by the same doubles.
 const double* dct8_basis();
 
-/// The scalar jpeg_block, shared with tables that have no vector variant.
+/// The scalar kernels shared with tables that have no vector variant of
+/// them.
+void pair_stats_taps_scalar(double* row, const double* pad,
+                            std::size_t stride, const double* win,
+                            int groups);
+void pair_stats_map_scalar(double* out, const double* const* rows,
+                           const double* win, int groups, double c1,
+                           double c2);
 void jpeg_block_scalar(const float* src, int src_stride, float* dst,
                        int dst_stride, const double* quant);
 

@@ -140,19 +140,6 @@ void narrow_f64_f32(float* out, const double* acc, int n) {
   for (; i < n; ++i) out[i] = static_cast<float>(acc[i]);
 }
 
-void daxpy_f64(double* acc, const double* in, double w, int n) {
-  const float64x2_t wv = vdupq_n_f64(w);
-  int i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t p = vmulq_f64(wv, vld1q_f64(in + i));
-    vst1q_f64(acc + i, vaddq_f64(vld1q_f64(acc + i), p));
-  }
-  for (; i < n; ++i) {
-    const double p = w * in[i];
-    acc[i] += p;
-  }
-}
-
 void sqdiff_f64(double* out, const float* a, const float* b, int n) {
   int i = 0;
   for (; i + 2 <= n; i += 2) {
@@ -166,44 +153,6 @@ void sqdiff_f64(double* out, const float* a, const float* b, int n) {
   }
 }
 
-void pair_stats_taps(double* mu_a, double* mu_b, double* m_aa, double* m_bb,
-                     double* m_ab, const float* a_pad, const float* b_pad,
-                     const double* win, int taps, int n) {
-  for (int t = 0; t < taps; ++t) {
-    const double w = win[t];
-    const float64x2_t wv = vdupq_n_f64(w);
-    const float* a = a_pad + t;
-    const float* b = b_pad + t;
-    int i = 0;
-    for (; i + 2 <= n; i += 2) {
-      const float64x2_t da = widen(a + i);
-      const float64x2_t db = widen(b + i);
-      vst1q_f64(mu_a + i,
-                vaddq_f64(vld1q_f64(mu_a + i), vmulq_f64(wv, da)));
-      vst1q_f64(mu_b + i,
-                vaddq_f64(vld1q_f64(mu_b + i), vmulq_f64(wv, db)));
-      vst1q_f64(m_aa + i,
-                vaddq_f64(vld1q_f64(m_aa + i),
-                          vmulq_f64(wv, vmulq_f64(da, da))));
-      vst1q_f64(m_bb + i,
-                vaddq_f64(vld1q_f64(m_bb + i),
-                          vmulq_f64(wv, vmulq_f64(db, db))));
-      vst1q_f64(m_ab + i,
-                vaddq_f64(vld1q_f64(m_ab + i),
-                          vmulq_f64(wv, vmulq_f64(da, db))));
-    }
-    for (; i < n; ++i) {
-      const double da = static_cast<double>(a[i]);
-      const double db = static_cast<double>(b[i]);
-      mu_a[i] += w * da;
-      mu_b[i] += w * db;
-      m_aa[i] += w * (da * da);
-      m_bb[i] += w * (db * db);
-      m_ab[i] += w * (da * db);
-    }
-  }
-}
-
 }  // namespace
 
 const SimdOps& neon_ops() {
@@ -212,10 +161,11 @@ const SimdOps& neon_ops() {
       hist_rank16_u16,
       weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
-      daxpy_f64,       sqdiff_f64,        pair_stats_taps,
-      // No NEON variant: the scalar block keeps the contract on aarch64
-      // until a vector one can be held to it by SimdParity there.
-      jpeg_block_scalar,
+      sqdiff_f64,
+      // No NEON variants: the scalar pair-stats and block kernels keep the
+      // contract on aarch64 until vector ones can be held to it by
+      // SimdParity there.
+      pair_stats_taps_scalar, pair_stats_map_scalar, jpeg_block_scalar,
   };
   return ops;
 }

@@ -77,37 +77,11 @@ void narrow_f64_f32(float* out, const double* acc, int n) {
   for (int i = 0; i < n; ++i) out[i] = static_cast<float>(acc[i]);
 }
 
-void daxpy_f64(double* acc, const double* in, double w, int n) {
-  for (int i = 0; i < n; ++i) {
-    const double p = w * in[i];
-    acc[i] += p;
-  }
-}
-
 void sqdiff_f64(double* out, const float* a, const float* b, int n) {
   for (int i = 0; i < n; ++i) {
     const double d =
         static_cast<double>(a[i]) - static_cast<double>(b[i]);
     out[i] = d * d;
-  }
-}
-
-void pair_stats_taps(double* mu_a, double* mu_b, double* m_aa, double* m_bb,
-                     double* m_ab, const float* a_pad, const float* b_pad,
-                     const double* win, int taps, int n) {
-  for (int t = 0; t < taps; ++t) {
-    const double w = win[t];
-    const float* a = a_pad + t;
-    const float* b = b_pad + t;
-    for (int i = 0; i < n; ++i) {
-      const double da = static_cast<double>(a[i]);
-      const double db = static_cast<double>(b[i]);
-      mu_a[i] += w * da;
-      mu_b[i] += w * db;
-      m_aa[i] += w * (da * da);
-      m_bb[i] += w * (db * db);
-      m_ab[i] += w * (da * db);
-    }
   }
 }
 
@@ -173,6 +147,50 @@ void idct2d(double block[64]) {
 
 const double* dct8_basis() { return &basis().cosines[0][0]; }
 
+// Both pair-stats kernels keep the four lanes of each sum in an array, so
+// the compiler can vectorise across a group without reordering any sum.
+void pair_stats_taps_scalar(double* row, const double* pad,
+                            std::size_t stride, const double* win,
+                            int groups) {
+  for (int g = 0; g < groups; ++g) {
+    double v[5][4] = {};
+    for (int t = 0; t < kPairStatsTaps; ++t) {
+      const double w = win[t];
+      for (int s = 0; s < 5; ++s) {
+        const double* in = pad + s * stride + 4 * g + t;
+        for (int l = 0; l < 4; ++l) v[s][l] += w * in[l];
+      }
+    }
+    double* out = row + 20 * g;
+    for (int s = 0; s < 5; ++s) {
+      for (int l = 0; l < 4; ++l) out[4 * s + l] = v[s][l];
+    }
+  }
+}
+
+void pair_stats_map_scalar(double* out, const double* const* rows,
+                           const double* win, int groups, double c1,
+                           double c2) {
+  for (int g = 0; g < groups; ++g) {
+    double v[20] = {};  // [stat][lane], the group's layout in a ring row
+    for (int t = 0; t < kPairStatsTaps; ++t) {
+      const double w = win[t];
+      const double* in = rows[t] + 20 * g;
+      for (int i = 0; i < 20; ++i) v[i] += w * in[i];
+    }
+    for (int l = 0; l < 4; ++l) {
+      const double mu_a = v[l];
+      const double mu_b = v[4 + l];
+      const double va = v[8 + l] - mu_a * mu_a;
+      const double vb = v[12 + l] - mu_b * mu_b;
+      const double cov = v[16 + l] - mu_a * mu_b;
+      const double num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2);
+      const double den = (mu_a * mu_a + mu_b * mu_b + c1) * (va + vb + c2);
+      out[4 * g + l] = num / den;
+    }
+  }
+}
+
 void jpeg_block_scalar(const float* src, int src_stride, float* dst,
                        int dst_stride, const double* quant) {
   double block[64];
@@ -201,7 +219,7 @@ const SimdOps& scalar_ops() {
       hist_rank16_u16,
       weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
-      daxpy_f64,       sqdiff_f64,        pair_stats_taps,
+      sqdiff_f64,      pair_stats_taps_scalar, pair_stats_map_scalar,
       jpeg_block_scalar,
   };
   return ops;

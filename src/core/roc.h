@@ -2,7 +2,7 @@
 // fixed-threshold tables: the full receiver operating characteristic and
 // its AUC quantify how separable the two score distributions are
 // independent of any threshold choice, which makes detector/metric
-// comparisons (bench/extension_roc) robust to calibration details.
+// comparisons (`repro roc`) robust to calibration details.
 #pragma once
 
 #include <span>

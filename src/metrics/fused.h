@@ -4,18 +4,25 @@
 // The battery's scaling and filtering stages each reduce the same pair with
 // three metrics; computed separately that is seven full-image sweeps (MSE,
 // five Gaussian filter passes inside SSIM, and PSNR re-running MSE). The
-// fused pass reads each source pixel once per Gaussian tap and nothing
-// else: the horizontal pass produces, per pixel, the five windowed sums
-// SSIM needs (μ_a, μ_b, a², b², ab) interleaved in a ring of 11 rows, the
-// vertical pass folds them into the SSIM map sum while the rows are still
-// cache-hot, and the squared-difference accumulator for MSE rides along in
-// the same row walk. PSNR is derived from the MSE value.
+// fused pass walks each plane once, row by row:
+//  * horizontal: each source row is expanded once into five edge-padded
+//    term rows (a, b, a², b², ab); for every group of four output pixels
+//    the five 11-tap window sums are built in registers and stored once
+//    into a ring of 11 rows, group-major (simd.h, pair_stats_taps);
+//  * vertical: for each output row, the 11 clamped ring rows are summed in
+//    registers per group and mapped to the SSIM value of each pixel in a
+//    row buffer (simd.h, pair_stats_map);
+//  * totals: the row's SSIM values and squared differences are added to
+//    the plane's serial sums in row-major order.
+// PSNR is derived from the MSE value.
 //
 // Bit-exactness contract: every accumulator preserves the reference
-// implementations' floating-point addition order (flat data order for MSE,
-// per-tap then row-major order for SSIM), so pair_stats() returns exactly
-// the values of mse() / ssim() / psnr() called separately. The golden
-// battery tests and the 1-vs-N-thread determinism suite pin this down.
+// implementations' floating-point addition order (flat data order for MSE;
+// per tap in ascending order from 0.0, then row-major, for SSIM), so
+// pair_stats() returns exactly the values of the separate reductions, with
+// the scalar and every native SimdOps table alike. battery_golden,
+// pair_stats_golden (scan-path geometries) and the 1-vs-N-thread
+// determinism suite pin this down.
 #pragma once
 
 #include <vector>
@@ -33,17 +40,17 @@ struct PairStats {
 
 /// Reusable scratch for the fused pass. One per thread (pair_stats() uses
 /// the calling thread's); sized on first use and reused across images.
-/// `ring` holds 11 rows of the five horizontal window-sum planes (stat-major
-/// per row, so each vertical tap is a contiguous vectorizable sweep);
-/// `a_pad`/`b_pad` are the edge-replicated source rows the horizontal taps
-/// read, `sq` the per-row squared differences of the MSE walk, and `vacc`
-/// the five vertical accumulator planes.
+/// `ring` holds 11 rows of the five horizontal window sums, group-major per
+/// row ([x / 4][stat][x % 4], so one 4-pixel group's sums are 160
+/// contiguous bytes); `pad` the five edge-replicated per-pixel term rows
+/// the horizontal taps read (a, b, a², b², ab as doubles), `sq` the
+/// per-row squared differences of the MSE walk, and `map` one output row
+/// of the SSIM map.
 struct PairStatsWorkspace {
   std::vector<double> ring;
-  std::vector<float> a_pad;
-  std::vector<float> b_pad;
+  std::vector<double> pad;
   std::vector<double> sq;
-  std::vector<double> vacc;
+  std::vector<double> map;
 };
 
 /// The calling thread's default workspace.

@@ -133,6 +133,7 @@ template <typename T>
 void expect_bits_equal(const std::vector<T>& got, const std::vector<T>& want,
                        const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
+  if (got.empty()) return;  // memcmp may not take the null data() of n = 0
   ASSERT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(T)))
       << what;
 }
@@ -230,11 +231,6 @@ TEST_F(SimdParity, ConvolveAndReduceOps) {
     native_->narrow_f64_f32(fb.data(), db.data(), n);
     expect_bits_equal(fa, fb, "narrow_f64_f32 n=" + std::to_string(n));
 
-    const auto x = random_doubles(n, 80u + n);
-    scalar_->daxpy_f64(da.data(), x.data(), 0.333, n);
-    native_->daxpy_f64(db.data(), x.data(), 0.333, n);
-    expect_bits_equal(da, db, "daxpy_f64 n=" + std::to_string(n));
-
     std::vector<double> sa(static_cast<std::size_t>(n)),
         sb(static_cast<std::size_t>(n));
     scalar_->sqdiff_f64(sa.data(), in.data(), in2.data(), n);
@@ -243,24 +239,138 @@ TEST_F(SimdParity, ConvolveAndReduceOps) {
   }
 }
 
+// Pair-stats row widths: every 4-pixel group remainder up to 37, plus the
+// 640-wide scan geometry.
+std::vector<int> pair_stats_widths() {
+  std::vector<int> widths;
+  for (int n = 1; n <= 37; ++n) widths.push_back(n);
+  widths.push_back(640);
+  return widths;
+}
+
+// A normalised 11-tap Gaussian like the SSIM window (sigma 1.5).
+std::vector<double> pair_stats_window() {
+  std::vector<double> win(simd::kPairStatsTaps);
+  double sum = 0.0;
+  for (int i = 0; i < simd::kPairStatsTaps; ++i) {
+    const int d = i - simd::kPairStatsTaps / 2;
+    win[static_cast<std::size_t>(i)] = std::exp(-(d * d) / 4.5);
+    sum += win[static_cast<std::size_t>(i)];
+  }
+  for (double& w : win) w /= sum;
+  return win;
+}
+
+// Five padded term rows (a, b, a*a, b*b, a*b) of `stride` random pixels
+// each, `stride` apart.
+std::vector<double> pair_stats_pad(std::size_t stride, std::uint64_t seed) {
+  const auto a = random_floats(static_cast<int>(stride), seed, 0.0, 255.0);
+  const auto b = random_floats(static_cast<int>(stride), seed + 1, 0.0, 255.0);
+  std::vector<double> pad(5 * stride);
+  for (std::size_t i = 0; i < stride; ++i) {
+    const double da = a[i];
+    const double db = b[i];
+    pad[i] = da;
+    pad[stride + i] = db;
+    pad[2 * stride + i] = da * da;
+    pad[3 * stride + i] = db * db;
+    pad[4 * stride + i] = da * db;
+  }
+  return pad;
+}
+
 TEST_F(SimdParity, PairStatsTaps) {
-  const std::vector<double> win = {0.05, 0.09, 0.12, 0.15, 0.18,
-                                   0.15, 0.12, 0.09, 0.05};
-  const int taps = static_cast<int>(win.size());
-  for (const int n : kSizes) {
-    const auto a = random_floats(n + taps - 1, 90u + n, 0.0, 255.0);
-    const auto b = random_floats(n + taps - 1, 91u + n, 0.0, 255.0);
-    std::vector<double> pa(static_cast<std::size_t>(5 * n), 0.0);
-    std::vector<double> pb(static_cast<std::size_t>(5 * n), 0.0);
-    const auto run = [&](const SimdOps* ops, std::vector<double>& p) {
-      double* base = p.data();
-      ops->pair_stats_taps(base, base + n, base + 2 * n, base + 3 * n,
-                           base + 4 * n, a.data(), b.data(), win.data(), taps,
-                           n);
+  const std::vector<double> win = pair_stats_window();
+  for (const int n : pair_stats_widths()) {
+    const int groups = (n + 3) / 4;
+    // An odd stride, so the term rows sit at every alignment.
+    const std::size_t stride =
+        static_cast<std::size_t>(4 * groups + simd::kPairStatsTaps + 2);
+    const std::vector<double> pad = pair_stats_pad(stride, 90u + n);
+    std::vector<double> want(static_cast<std::size_t>(20 * groups));
+    for (int x = 0; x < 4 * groups; ++x) {
+      for (int s = 0; s < 5; ++s) {
+        double sum = 0.0;
+        for (int t = 0; t < simd::kPairStatsTaps; ++t) {
+          sum += win[static_cast<std::size_t>(t)] *
+                 pad[s * stride + static_cast<std::size_t>(x + t)];
+        }
+        want[static_cast<std::size_t>(20 * (x / 4) + 4 * s + x % 4)] = sum;
+      }
+    }
+    std::vector<double> got_scalar(want.size(), -1.0);
+    std::vector<double> got_native(want.size(), -1.0);
+    scalar_->pair_stats_taps(got_scalar.data(), pad.data(), stride, win.data(),
+                             groups);
+    native_->pair_stats_taps(got_native.data(), pad.data(), stride, win.data(),
+                             groups);
+    expect_bits_equal(got_scalar, want,
+                      "pair_stats_taps scalar n=" + std::to_string(n));
+    expect_bits_equal(got_native, want,
+                      "pair_stats_taps native n=" + std::to_string(n));
+  }
+}
+
+TEST_F(SimdParity, PairStatsMap) {
+  constexpr int kTaps = simd::kPairStatsTaps;
+  const std::vector<double> win = pair_stats_window();
+  const double c1 = 6.5025;
+  const double c2 = 58.5225;
+  for (const int n : pair_stats_widths()) {
+    const int groups = (n + 3) / 4;
+    const std::size_t stride =
+        static_cast<std::size_t>(4 * groups + kTaps - 1);
+    const std::size_t row_doubles = static_cast<std::size_t>(20 * groups);
+    // A ring of real horizontal window sums, one row per tap.
+    std::vector<double> ring(row_doubles * kTaps);
+    for (int r = 0; r < kTaps; ++r) {
+      const std::vector<double> pad =
+          pair_stats_pad(stride, 1000u + 16u * n + r);
+      scalar_->pair_stats_taps(ring.data() + r * row_doubles, pad.data(),
+                               stride, win.data(), groups);
+    }
+    // Which ring row each tap reads: all distinct, the clamped windows of
+    // the first and last output rows, and a one-row image.
+    const std::vector<std::vector<int>> windows = {
+        {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+        {0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5},
+        {5, 6, 7, 8, 9, 10, 10, 10, 10, 10, 10},
+        {3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3},
     };
-    run(scalar_, pa);
-    run(native_, pb);
-    expect_bits_equal(pa, pb, "pair_stats_taps n=" + std::to_string(n));
+    for (std::size_t k = 0; k < windows.size(); ++k) {
+      const std::string what =
+          "n=" + std::to_string(n) + " window " + std::to_string(k);
+      const double* rows[kTaps];
+      for (int t = 0; t < kTaps; ++t) {
+        rows[t] = ring.data() + windows[k][static_cast<std::size_t>(t)] *
+                                    row_doubles;
+      }
+      std::vector<double> want(static_cast<std::size_t>(4 * groups));
+      for (int x = 0; x < 4 * groups; ++x) {
+        double v[5];
+        for (int s = 0; s < 5; ++s) {
+          v[s] = 0.0;
+          for (int t = 0; t < kTaps; ++t) {
+            v[s] += win[static_cast<std::size_t>(t)] *
+                    rows[t][20 * (x / 4) + 4 * s + x % 4];
+          }
+        }
+        const double va = v[2] - v[0] * v[0];
+        const double vb = v[3] - v[1] * v[1];
+        const double cov = v[4] - v[0] * v[1];
+        want[static_cast<std::size_t>(x)] =
+            ((2.0 * v[0]) * v[1] + c1) * (2.0 * cov + c2) /
+            ((v[0] * v[0] + v[1] * v[1] + c1) * (va + vb + c2));
+      }
+      std::vector<double> got_scalar(want.size(), -1.0);
+      std::vector<double> got_native(want.size(), -1.0);
+      scalar_->pair_stats_map(got_scalar.data(), rows, win.data(), groups, c1,
+                              c2);
+      native_->pair_stats_map(got_native.data(), rows, win.data(), groups, c1,
+                              c2);
+      expect_bits_equal(got_scalar, want, "pair_stats_map scalar " + what);
+      expect_bits_equal(got_native, want, "pair_stats_map native " + what);
+    }
   }
 }
 
